@@ -6,18 +6,14 @@
 // Usage:
 //
 //	bsplogp -list [-scale]
-//	bsplogp -experiment E3 [-quick] [-seed 1] [-parallel 4]
+//	bsplogp -experiment E3 [-quick] [-seed 1]
 //	bsplogp -all [-quick]
 //	bsplogp -scale [-quick] [-bench]
-//	bsplogp -bench [-experiment E3] [-quick] [-parallel 4] [-benchcount 5] [-benchout BENCH_logp.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	bsplogp -bench [-experiment E3] [-quick] [-benchcount 5] [-benchout BENCH_logp.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	bsplogp -benchdiff old.json new.json [-threshold 0.2]
-//	bsplogp -audit [-experiment E3] [-quick] [-parallel 4] [-auditout AUDIT_logp.json] [-trace trace.jsonl]
+//	bsplogp -audit [-experiment E3] [-quick] [-auditout AUDIT_logp.json] [-trace trace.jsonl]
 //	bsplogp -serve :8080 [-workers 4]
 //	bsplogp -loadtest [-addr http://host:8080] [-clients 8] [-jobsper 4] [-experiment E3] [-quick] [-serveout SERVE_logp.json]
-//
-// -parallel shards the LogP engines across worker goroutines; every
-// table, trace, and audit report stays byte-identical to the
-// sequential engine, so it is purely a wall-clock lever.
 //
 // -serve runs bsplogp as a persistent simulation server: a JSON job
 // API (POST /jobs, GET /jobs/{job}/result, ...) over a warm worker
@@ -59,7 +55,6 @@ func run(args []string, out, errOut io.Writer) int {
 		quick      = fs.Bool("quick", false, "shrink processor counts and trials")
 		scale      = fs.Bool("scale", false, "select the large-p scale experiments (E14/E15/E16 at p=10^4..10^6, E17 at p=1024/2048) instead of the regular suite; with -quick the p=10^6 entries are skipped and the rest run at p=10^5")
 		seed       = fs.Uint64("seed", 1, "random seed")
-		parallel   = fs.Int("parallel", 0, "run the LogP engines on this many conservative-parallel shards (>= 2; 0 or 1 keeps the sequential engine); tables, traces, and audit reports are byte-identical either way")
 		doBench    = fs.Bool("bench", false, "benchmark experiments (all, or the one given by -experiment) and write a JSON report")
 		benchOut   = fs.String("benchout", "BENCH_logp.json", "path of the JSON report written by -bench")
 		benchCount = fs.Int("benchcount", 1, "with -bench: repetitions per experiment; the report carries the median wall time")
@@ -134,7 +129,6 @@ func run(args []string, out, errOut io.Writer) int {
 			Experiment:    *id,
 			Quick:         *quick,
 			Seed:          *seed,
-			Shards:        *parallel,
 		})
 		if err != nil {
 			fmt.Fprintf(errOut, "bsplogp: %v\n", err)
@@ -168,7 +162,7 @@ func run(args []string, out, errOut io.Writer) int {
 		return 0
 	}
 
-	cfg := bench.Config{Quick: *quick, Seed: *seed, Shards: *parallel}
+	cfg := bench.Config{Quick: *quick, Seed: *seed}
 
 	// The p=10^6 experiments keep ~2 GB of guest state live; the default
 	// GC target (100% headroom) would push peak RSS past the scale

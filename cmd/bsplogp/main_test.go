@@ -197,65 +197,6 @@ func TestCLIAuditFlagsWithoutAuditError(t *testing.T) {
 	}
 }
 
-func TestCLIParallelFlag(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-experiment", "e6", "-quick", "-parallel", "4"}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "E6") {
-		t.Fatalf("unexpected output:\n%s", out.String())
-	}
-
-	// The shard count must reach the benchmark config and be recorded
-	// in the report schema.
-	path := filepath.Join(t.TempDir(), "bench.json")
-	out.Reset()
-	errOut.Reset()
-	code := run([]string{"-bench", "-quick", "-experiment", "E6", "-parallel", "4", "-benchout", path}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Shards int `json:"shards"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Shards != 4 {
-		t.Fatalf("report shards = %d, want 4", rep.Shards)
-	}
-}
-
-func TestCLIParallelMatchesSequentialOutput(t *testing.T) {
-	// The experiment tables themselves must be bit-identical across
-	// engines — -parallel is a wall-clock lever only.
-	var seq, par, errOut bytes.Buffer
-	if code := run([]string{"-experiment", "e3", "-quick"}, &seq, &errOut); code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	if code := run([]string{"-experiment", "e3", "-quick", "-parallel", "4"}, &par, &errOut); code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	strip := func(s string) string {
-		// Drop the wall-clock completion line, which legitimately varies.
-		var keep []string
-		for _, line := range strings.Split(s, "\n") {
-			if strings.Contains(line, "completed in") {
-				continue
-			}
-			keep = append(keep, line)
-		}
-		return strings.Join(keep, "\n")
-	}
-	if strip(seq.String()) != strip(par.String()) {
-		t.Fatalf("-parallel changed E3's table:\nsequential:\n%s\nparallel:\n%s", seq.String(), par.String())
-	}
-}
-
 func TestCLIBenchSubsetMergePreservesRows(t *testing.T) {
 	// A -bench run over a subset of the registry (here a single
 	// -experiment) must extend the existing report, not replace it:

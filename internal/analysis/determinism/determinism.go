@@ -20,9 +20,9 @@
 //   - a receive loop (range over a channel) whose body reaches an
 //     order-sensitive sink: with concurrent senders the receive order
 //     is scheduler-dependent, so a worker may only transform what it
-//     received and forward it on a channel — the parallel engine's
-//     worker-pool idiom — leaving all emission to the single commit
-//     loop that re-sequences completions deterministically.
+//     received and forward it on a channel — the worker-pool idiom —
+//     leaving all emission to a single commit loop that re-sequences
+//     completions deterministically.
 package determinism
 
 import (

@@ -19,8 +19,7 @@
 // Next(id, prev) runs for every processor on one script value, so its
 // receiver fields and captures are shared exactly like a Program
 // closure's — and the scale workloads deliberately keep all
-// per-processor state in one shared arena of id-indexed slots (the
-// layout the sharded scheduler's sharing contract requires). The
+// per-processor state in one shared arena of id-indexed slots. The
 // carve-out therefore extends to any store whose index chain involves
 // the id parameter or a local derived from it, including flat-offset
 // addressing into a shared backing array (buf[id*h+k]): the slot is

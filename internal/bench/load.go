@@ -22,12 +22,11 @@ type LoadReport struct {
 	// Addr is the target server ("in-process" when the harness ran an
 	// embedded server rather than dialing a remote one).
 	Addr string `json:"addr"`
-	// Experiment, Quick, and Shards are the job parameters every
+	// Experiment and Quick are the job parameters every
 	// submission carried; Seed varies per job (base seed + job index).
 	Experiment string `json:"experiment"`
 	Quick      bool   `json:"quick"`
 	Seed       uint64 `json:"seed"`
-	Shards     int    `json:"shards,omitempty"`
 	// Workers is the server's pool size (0 when dialing a remote
 	// server whose pool size the client cannot see).
 	Workers       int    `json:"workers,omitempty"`

@@ -46,7 +46,6 @@ type simKey struct {
 	sort   core.SortAlgo
 	guest  bsp.Params
 	strict bool
-	shards int
 }
 
 // machKey identifies a native LogP machine by everything that outlives
@@ -58,7 +57,6 @@ type machKey struct {
 	lp     logp.Params
 	policy logp.DeliveryPolicy
 	accept logp.AcceptOrder
-	shards int
 }
 
 // thm1Key identifies a Theorem 1 cross-simulator by its public
@@ -99,7 +97,6 @@ func (w *Warm) Sim(spec core.BSPOnLogP) *core.BSPOnLogP {
 		sort:   spec.Sort,
 		guest:  spec.Guest,
 		strict: spec.StrictStallFree,
-		shards: spec.Shards,
 	}
 	if s, ok := w.sims[k]; ok {
 		s.Seed = spec.Seed
@@ -118,8 +115,8 @@ func (w *Warm) Sim(spec core.BSPOnLogP) *core.BSPOnLogP {
 // the next Run replays exactly the bytes a fresh machine built with
 // WithSeed(seed) would produce — the property the scale alloc guards
 // and the serve determinism tests rely on.
-func (w *Warm) Machine(lp logp.Params, policy logp.DeliveryPolicy, accept logp.AcceptOrder, seed uint64, shards int) *logp.Machine {
-	k := machKey{lp: lp, policy: policy, accept: accept, shards: shards}
+func (w *Warm) Machine(lp logp.Params, policy logp.DeliveryPolicy, accept logp.AcceptOrder, seed uint64) *logp.Machine {
+	k := machKey{lp: lp, policy: policy, accept: accept}
 	if m, ok := w.machines[k]; ok {
 		// The benchmark harness reseeds between jobs exactly as the
 		// engine-family caches do, never mid-run, so the trace always
@@ -128,15 +125,11 @@ func (w *Warm) Machine(lp logp.Params, policy logp.DeliveryPolicy, accept logp.A
 		m.SetSeed(seed)
 		return m
 	}
-	opts := []logp.Option{
+	m := logp.NewMachine(lp,
 		logp.WithDeliveryPolicy(policy),
 		logp.WithAcceptOrder(accept),
 		logp.WithSeed(seed),
-	}
-	if shards >= 2 {
-		opts = append(opts, logp.WithShards(shards))
-	}
-	m := logp.NewMachine(lp, opts...)
+	)
 	w.machines[k] = m
 	return m
 }
@@ -183,17 +176,13 @@ func (cfg Config) sim(spec core.BSPOnLogP) *core.BSPOnLogP {
 // two are byte-identical by the WithSeed contract.
 func (cfg Config) scriptMachine(lp logp.Params, policy logp.DeliveryPolicy, accept logp.AcceptOrder, seed uint64) *logp.Machine {
 	if cfg.Warm != nil {
-		return cfg.Warm.Machine(lp, policy, accept, seed, cfg.Shards)
+		return cfg.Warm.Machine(lp, policy, accept, seed)
 	}
-	opts := []logp.Option{
+	return logp.NewMachine(lp,
 		logp.WithDeliveryPolicy(policy),
 		logp.WithAcceptOrder(accept),
 		logp.WithSeed(seed),
-	}
-	if cfg.Shards >= 2 {
-		opts = append(opts, logp.WithShards(cfg.Shards))
-	}
-	return logp.NewMachine(lp, opts...)
+	)
 }
 
 // thm1 is the experiment-side constructor for Theorem 1 replays.
@@ -216,7 +205,7 @@ func (cfg Config) network(g *topology.Graph) *netsim.Network {
 // RunJob looks up and runs one experiment under cfg — the job-shaped
 // entry point service mode multiplexes: a (Config, id) pair in, a
 // rendered table out. The table is a pure function of (id, cfg.Quick,
-// cfg.Seed); cfg.Shards and cfg.Warm only change how fast it arrives.
+// cfg.Seed); cfg.Warm only changes how fast it arrives.
 func RunJob(cfg Config, id string) (*Table, error) {
 	e, ok := Lookup(id)
 	if !ok {

@@ -348,6 +348,34 @@ func TestBSPOnLogPReproducible(t *testing.T) {
 	}
 }
 
+// TestBSPOnLogPReusesMachine checks the host-machine cache: Runs with
+// unchanged machine fields reuse the cached machine, and changing one
+// of its keys (here the delivery policy) rebuilds it.
+func TestBSPOnLogPReusesMachine(t *testing.T) {
+	lp := logp.Params{P: 4, L: 8, O: 1, G: 2}
+	sim := &BSPOnLogP{LogP: lp}
+	if _, err := sim.Run(func(p bsp.Proc) {}); err != nil {
+		t.Fatal(err)
+	}
+	first := sim.mach
+	if first == nil {
+		t.Fatal("machine not cached")
+	}
+	if _, err := sim.Run(func(p bsp.Proc) {}); err != nil {
+		t.Fatal(err)
+	}
+	if sim.mach != first {
+		t.Fatal("unchanged spec rebuilt the machine")
+	}
+	sim.Policy = logp.DeliverMinLatency
+	if _, err := sim.Run(func(p bsp.Proc) {}); err != nil {
+		t.Fatal(err)
+	}
+	if sim.mach == first {
+		t.Fatal("changed delivery policy did not rebuild the machine")
+	}
+}
+
 func TestBSPOnLogPOfflineTimeNearOptimal(t *testing.T) {
 	// A single superstep routing a known h-relation: host time must
 	// be close to Tsynch + 2o + G(h-1) + L plus alignment slack.

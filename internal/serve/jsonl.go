@@ -47,7 +47,6 @@ type doneLine struct {
 	Mode       string `json:"mode"`
 	Seed       uint64 `json:"seed"`
 	Quick      bool   `json:"quick"`
-	Shards     int    `json:"shards,omitempty"`
 	Rows       int    `json:"rows"`
 	Violations int64  `json:"violations"`
 }
@@ -79,7 +78,7 @@ func encodeJobBody(spec JobSpec, tab *bench.Table, sum *logp.AuditSummary) ([]by
 	}
 	err := enc.Encode(doneLine{
 		Type: "done", ID: tab.ID, Mode: spec.Mode, Seed: spec.Seed,
-		Quick: spec.Quick, Shards: spec.Shards, Rows: len(tab.Rows),
+		Quick: spec.Quick, Rows: len(tab.Rows),
 		Violations: violations,
 	})
 	if err != nil {

@@ -29,12 +29,11 @@ type LoadOptions struct {
 	JobsPerClient int
 	// Experiment is the job every submission runs (default "E3").
 	Experiment string
-	// Quick, Seed, Shards are forwarded into every JobSpec; job k of
+	// Quick and Seed are forwarded into every JobSpec; job k of
 	// every client uses seed Seed+k, so the same seed set recurs
 	// across clients and byte-identity is checkable.
-	Quick  bool
-	Seed   uint64
-	Shards int
+	Quick bool
+	Seed  uint64
 }
 
 // RunLoad drives N concurrent clients × M jobs against a simulation
@@ -66,7 +65,6 @@ func RunLoad(opts LoadOptions) (*bench.LoadReport, error) {
 		Experiment:    opts.Experiment,
 		Quick:         opts.Quick,
 		Seed:          opts.Seed,
-		Shards:        opts.Shards,
 		Clients:       opts.Clients,
 		JobsPerClient: opts.JobsPerClient,
 		TotalJobs:     opts.Clients * opts.JobsPerClient,
@@ -119,7 +117,7 @@ func RunLoad(opts LoadOptions) (*bench.LoadReport, error) {
 				t0 := now()
 				body, err := submitAndFetch(client, base, JobSpec{
 					ID: opts.Experiment, Mode: ModeRun,
-					Quick: opts.Quick, Seed: seed, Shards: opts.Shards,
+					Quick: opts.Quick, Seed: seed,
 				})
 				outcomes[c][k] = jobOutcome{
 					seed:  seed,

@@ -6,7 +6,7 @@
 // consecutive jobs on a worker reuse cross-simulators and packet
 // networks instead of rebuilding them — the warm machine pool. Jobs
 // carry their own seeds; a job's result body is a pure function of
-// (id, mode, quick, seed, shards), so two submissions of the same
+// (id, mode, quick, seed), so two submissions of the same
 // spec return byte-identical bodies no matter which worker runs them
 // or what ran before.
 //
@@ -35,9 +35,9 @@ type JobSpec struct {
 	Quick bool `json:"quick,omitempty"`
 	// Seed drives every random choice of the job (default 1).
 	Seed uint64 `json:"seed,omitempty"`
-	// Shards >= 2 runs the job's LogP engines on the sharded
-	// conservative-parallel scheduler; the body is byte-identical at
-	// any setting.
+	// Shards is removed: the sharded scheduler it selected is gone.
+	// The field remains only so that normalize can reject a non-zero
+	// value instead of silently ignoring it.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -52,8 +52,8 @@ func (s *JobSpec) normalize() error {
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
-	if s.Shards < 0 {
-		return fmt.Errorf("serve: negative shards %d", s.Shards)
+	if s.Shards != 0 {
+		return fmt.Errorf("serve: shards: the sharded scheduler was removed")
 	}
 	if _, ok := bench.Lookup(s.ID); !ok {
 		return fmt.Errorf("serve: unknown experiment %q", s.ID)
@@ -94,14 +94,13 @@ type Job struct {
 
 // Status is the poll/list view of a job.
 type Status struct {
-	Job    string `json:"job"`
-	ID     string `json:"id"`
-	Mode   string `json:"mode"`
-	Quick  bool   `json:"quick"`
-	Seed   uint64 `json:"seed"`
-	Shards int    `json:"shards,omitempty"`
-	State  string `json:"state"`
-	Error  string `json:"error,omitempty"`
+	Job   string `json:"job"`
+	ID    string `json:"id"`
+	Mode  string `json:"mode"`
+	Quick bool   `json:"quick"`
+	Seed  uint64 `json:"seed"`
+	State string `json:"state"`
+	Error string `json:"error,omitempty"`
 	// Submitted/Started/Finished are RFC3339Nano wall-clock stamps
 	// (empty until reached); QueueNanos and RunNanos are the derived
 	// latencies, filled as soon as their interval closes.
@@ -123,7 +122,6 @@ func (j *Job) Status() Status {
 		Mode:      j.Spec.Mode,
 		Quick:     j.Spec.Quick,
 		Seed:      j.Spec.Seed,
-		Shards:    j.Spec.Shards,
 		State:     j.state,
 		Error:     j.errMsg,
 		Submitted: j.submitted.UTC().Format(time.RFC3339Nano),
@@ -353,7 +351,7 @@ func (p *Pool) runJob(j *Job, warm *bench.Warm) {
 // share the read side so they only ever exclude audits, not each
 // other.
 func (p *Pool) execute(spec JobSpec, warm *bench.Warm) ([]byte, error) {
-	cfg := bench.Config{Quick: spec.Quick, Seed: spec.Seed, Shards: spec.Shards, Warm: warm}
+	cfg := bench.Config{Quick: spec.Quick, Seed: spec.Seed, Warm: warm}
 	if spec.Mode == ModeAudit {
 		p.auditGate.Lock()
 		defer p.auditGate.Unlock()

@@ -19,7 +19,8 @@ import (
 // API (all JSON):
 //
 //	GET    /healthz          liveness + drain state
-//	POST   /jobs             submit a JobSpec; 202 with the job name
+//	POST   /jobs             submit a JobSpec; 202 with the job name,
+//	                         413 for a body over 1 MiB
 //	GET    /jobs             list every job's status
 //	GET    /jobs/{job}       one job's status
 //	GET    /jobs/{job}/result  block until terminal, then the JSONL body
@@ -33,6 +34,9 @@ type Server struct {
 	mux      *http.ServeMux
 	draining atomic.Bool
 }
+
+// maxSpecBytes caps a POST /jobs body; larger bodies get 413.
+const maxSpecBytes = 1 << 20
 
 // New builds a server over a fresh pool of the given size.
 func New(workers, maxQueue int) *Server {
@@ -95,9 +99,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec JobSpec
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorBody{Error: err.Error()})
 		return
 	}
 	if err := json.Unmarshal(body, &spec); err != nil {

@@ -133,6 +133,7 @@ func TestSubmitValidation(t *testing.T) {
 		`{"id":"E99"}`,             // unknown experiment
 		`{"id":"E3","mode":"zap"}`, // unknown mode
 		`{"id":"E3","shards":-1}`,  // negative shards
+		`{"id":"E3","shards":4}`,   // the sharded scheduler was removed
 		`not json`,
 	} {
 		if code, body := postJob(t, ts, spec); code != http.StatusBadRequest {
@@ -141,6 +142,24 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if code, body := get(t, ts.URL+"/jobs/j999999"); code != http.StatusNotFound {
 		t.Errorf("unknown job: code %d (%s)", code, body)
+	}
+}
+
+// TestSubmitOversizedBody: a body over the 1 MiB cap gets 413, not a
+// truncated read that fails as invalid JSON.
+func TestSubmitOversizedBody(t *testing.T) {
+	s := New(1, 0)
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	head, tail := `{"id":"E3","pad":"`, `"}`
+	spec := head + strings.Repeat("x", maxSpecBytes+1-len(head)-len(tail)) + tail
+	if len(spec) != maxSpecBytes+1 {
+		t.Fatalf("body is %d bytes, want %d", len(spec), maxSpecBytes+1)
+	}
+	if code, body := postJob(t, ts, spec); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("code %d, want 413 (%s)", code, body)
 	}
 }
 
