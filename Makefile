@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test lint race fuzz audit audit-report bench bench-smoke bench-netsim bench-report bench-diff bench-scale bench-scale-report serve-smoke serve-report experiments examples cover clean
+.PHONY: all test lint race fuzz audit audit-report bench bench-smoke bench-netsim bench-report bench-diff bench-scale bench-scale-report perfbench-check serve-smoke serve-report experiments examples cover clean
 
 all: test
 
@@ -27,9 +27,11 @@ race:
 
 # Differential fuzzing of the LogP engine, fast vs slow: the
 # WithSlowPath oracle must produce the fast path's Results, traces, and
-# audit metrics exactly.
+# audit metrics exactly. Both paths share the scheduling queues, so
+# FuzzHorizonQueues checks those against a sort-based reference.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFastPathEquivalence -fuzztime 20s ./internal/logp/
+	$(GO) test -run '^$$' -fuzz FuzzHorizonQueues -fuzztime 20s ./internal/horizon/
 
 # Run the quick experiment suite under the streaming LogP invariant
 # auditor; fails on any model-invariant violation (see EXPERIMENTS.md).
@@ -79,6 +81,13 @@ bench-scale:
 # measures the steady state the alloc guards pin, not construction.
 bench-scale-report:
 	$(GO) run ./cmd/bsplogp -scale -bench -benchcount 2 -benchout BENCH_logp.json
+
+# Vet and short-test the benchmark module (perfbench/), which the root
+# `go test ./...` does not compile; the environment matches
+# perfbench/run.sh, so the build never reaches the network.
+perfbench-check:
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet ./...
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) test -short ./...
 
 # Smoke the service mode: the serve test suite under the race detector
 # (>= 8 concurrent clients, byte-identical bodies), then a small

@@ -38,7 +38,7 @@ var Analyzer = &kit.Analyzer{
 	Doc: "forbid heap allocation (compiler escape analysis), defer-in-loop, " +
 		"map range, and interface boxing inside the //hot:path hot set",
 	Scope: []string{
-		"repro/internal/logp", "repro/internal/core",
+		"repro/internal/logp", "repro/internal/core", "repro/internal/horizon",
 		"repro/internal/netsim", "repro/internal/relation",
 		"repro/internal/bench",
 	},

@@ -39,7 +39,7 @@ var Analyzer = &kit.Analyzer{
 	Doc: "forbid wall-clock reads, global math/rand, map-order-dependent " +
 		"emission, racy selects, and receive-loop emission in simulation code",
 	Scope: []string{
-		"repro/internal/logp", "repro/internal/bsp", "repro/internal/core",
+		"repro/internal/logp", "repro/internal/bsp", "repro/internal/core", "repro/internal/horizon",
 		"repro/internal/netlogp", "repro/internal/netsim", "repro/internal/netrun",
 		"repro/internal/collective", "repro/internal/bench", "repro/internal/bsputil",
 		"repro/internal/relation", "repro/internal/sortnet", "repro/internal/topology",

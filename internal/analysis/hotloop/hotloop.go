@@ -34,7 +34,7 @@ var Analyzer = &kit.Analyzer{
 	Doc: "forbid append-without-presize, fmt/string concatenation, and " +
 		"channel operations inside loops of the //hot:path hot set",
 	Scope: []string{
-		"repro/internal/logp", "repro/internal/core",
+		"repro/internal/logp", "repro/internal/core", "repro/internal/horizon",
 		"repro/internal/netsim", "repro/internal/relation",
 		"repro/internal/bench",
 	},

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"math"
 	"slices"
 
 	"repro/internal/bsp"
+	"repro/internal/horizon"
 	"repro/internal/logp"
 	"repro/internal/relation"
 )
@@ -123,7 +123,7 @@ func (s *LogPOnBSP) params() (logp.Params, bsp.Params, int64, int) {
 //
 // Run and RunScript may be called repeatedly on one LogPOnBSP: the
 // replay engine's slabs (guest records, message records, count
-// columns, heaps) are retained across calls and reset wholesale, so a
+// columns, queues) are retained across calls and reset wholesale, so a
 // warm simulator replays with near-zero steady-state allocation. A
 // LogPOnBSP is therefore not safe for concurrent use.
 func (s *LogPOnBSP) Run(prog logp.Program) (Thm1Result, error) {
@@ -185,19 +185,20 @@ func (s *LogPOnBSP) execute(prog logp.Program, sc logp.Script) (Thm1Result, erro
 // a LogPOnBSP retains across runs and reset() makes reusable without
 // freeing. Guests live in one dense []cycleProc slab (no per-guest
 // allocation, stable &procs[i] pointers); each message occupies one
-// cycleRec slab record for its whole lifecycle, referenced by int32
-// index from the event heap and chained intrusively into its
-// destination's input FIFO, so heap sifts move 20-byte refs instead of
-// 70-byte events and delivery allocates nothing. Per-guest fan-in/out
-// counts — formerly flat maps keyed cycle*p+id — are flat int32
+// cycleRec slab record for its whole lifecycle, chained intrusively
+// through its next field first into its arrival instant's bucket of
+// the event queue and then into its destination's input FIFO, so
+// delivery moves an int32 index and allocates nothing. Per-guest
+// fan-in/out counts — formerly flat maps keyed cycle*p+id — are flat int32
 // columns held in a sliding window of live cycles (see colsFor):
 // submissions commit in nondecreasing parked-clock order, so once the
 // committing guest's clock passes a cycle's end that cycle can never
 // be counted or queried again and its columns retire to a pool. The
 // per-cycle aggregates result() needs — the relation degree and the
 // overload flag — are folded in incrementally at submission time.
-// Runnable guests sit in a (clock, id) min-heap of value refs, so each
-// scheduling step costs O(log p) and chases no pointers. Together
+// Runnable guests sit in per-clock buckets of a ready queue (see
+// horizon.Ready), so a scheduling step costs O(1) apart from one sort
+// of each bucket that received ids out of order. Together
 // these keep a p = 10^6 replay's cost proportional to its traffic, not
 // to p times its length, with near-zero steady-state allocation on a
 // warm simulator.
@@ -211,10 +212,13 @@ type cycleEngine struct {
 	// are advanced by scriptSegment instead of an iter.Pull resume.
 	script logp.Script
 
-	procs  []cycleProc
-	ready  cycleReadyHeap
-	events cycleEventHeap
-	seq    int64
+	procs []cycleProc
+	// ready holds the runnable guests keyed by (clock, id), events the
+	// in-flight deliveries in (arrival, submission order), both in
+	// per-instant bucket rings (see reset for their horizon).
+	ready   horizon.Ready
+	events  horizon.Events
+	recNext func(int32) *int32 // links records into the event FIFOs
 
 	// recs backs every in-flight or buffered message's single record;
 	// freed records recycle through the recFree intrusive free list.
@@ -291,10 +295,11 @@ func (p *cycleProc) reinit(id int, e *cycleEngine) {
 	p.resp = cycleRes{}
 }
 
-// cycleRec is one message's slab record: in flight, it is referenced
-// by its delivery event; once delivered, at holds the arrival instant
-// and next chains the record into the destination's input FIFO. Freed
-// records chain through next into the engine's free list.
+// cycleRec is one message's slab record: in flight, next chains it
+// into its arrival instant's event bucket; once delivered, at holds
+// the arrival instant and next chains the record into the
+// destination's input FIFO. Freed records chain through next into the
+// engine's free list.
 type cycleRec struct {
 	msg  logp.Message
 	at   int64
@@ -410,127 +415,6 @@ func (p *cycleProc) Buffered() int {
 	return int(p.call(cycleReq{op: cycleBuffered}).n)
 }
 
-// cycleEventRef is one event-heap entry: the (time, seq) sort key plus
-// the slab index of the message record it delivers. Sifts move these
-// 20-byte values instead of full messages, and the hand-rolled heap
-// avoids container/heap's per-push interface boxing (an allocation per
-// event at p = 10^6 scale).
-type cycleEventRef struct {
-	time int64
-	seq  int64
-	idx  int32
-}
-
-type cycleEventHeap []cycleEventRef
-
-func cycleEvBefore(a, b cycleEventRef) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	return a.seq < b.seq
-}
-
-func (h *cycleEventHeap) push(ref cycleEventRef) {
-	a := append(*h, ref)
-	i := len(a) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !cycleEvBefore(a[i], a[parent]) {
-			break
-		}
-		a[i], a[parent] = a[parent], a[i]
-		i = parent
-	}
-	*h = a
-}
-
-func (h *cycleEventHeap) popMin() cycleEventRef {
-	a := *h
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	a = a[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && cycleEvBefore(a[l], a[min]) {
-			min = l
-		}
-		if r < n && cycleEvBefore(a[r], a[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		a[i], a[min] = a[min], a[i]
-		i = min
-	}
-	*h = a
-	return top
-}
-
-// cycleReadyRef is one ready-heap entry: the (clock, id) commit key,
-// copied out of the guest at push time. A guest's clock never changes
-// while it sits in the heap — clocks move only in exec (guest popped
-// first) and completeRecv (guest parked in cycleWaitMsg, outside the
-// heap) — so the copied key never goes stale.
-type cycleReadyRef struct {
-	clock int64
-	id    int32
-}
-
-// cycleReadyHeap orders runnable guests by (clock, id) — the commit
-// order of the replay.
-type cycleReadyHeap []cycleReadyRef
-
-func cycleReadyBefore(a, b cycleReadyRef) bool {
-	if a.clock != b.clock {
-		return a.clock < b.clock
-	}
-	return a.id < b.id
-}
-
-func (h *cycleReadyHeap) push(ref cycleReadyRef) {
-	a := append(*h, ref)
-	i := len(a) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !cycleReadyBefore(a[i], a[parent]) {
-			break
-		}
-		a[i], a[parent] = a[parent], a[i]
-		i = parent
-	}
-	*h = a
-}
-
-func (h *cycleReadyHeap) popMin() cycleReadyRef {
-	a := *h
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	a = a[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && cycleReadyBefore(a[l], a[min]) {
-			min = l
-		}
-		if r < n && cycleReadyBefore(a[r], a[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		a[i], a[min] = a[min], a[i]
-		i = min
-	}
-	*h = a
-	return top
-}
-
 // scriptSegment advances a scripted guest to its next engine request,
 // mirroring the coroutine form exactly: the cycle engine has no
 // guest-side fast path, so every operation crosses except Halt and
@@ -634,9 +518,16 @@ func (e *cycleEngine) reset(lp logp.Params, cycleLen int64, fold int, keepPairs 
 	if len(e.procs) != lp.P {
 		e.procs = make([]cycleProc, lp.P)
 	}
-	e.ready = e.ready[:0]
-	e.events = e.events[:0]
-	e.seq = 0
+	// A submission lands at most G past its guest's clock and arrives
+	// at the next cycle boundary, so two cycles plus the latency window
+	// cover every arrival but a hot spot's spread-out excess, which
+	// takes the overflow heap.
+	if e.recNext == nil {
+		e.recNext = func(i int32) *int32 { return &e.recs[i].next }
+	}
+	span := 2 * (cycleLen + lp.L)
+	e.events.Reset(span, 1, e.recNext)
+	e.ready.Reset(span, lp.P)
 	for i := range e.recs {
 		e.recs[i] = cycleRec{}
 	}
@@ -713,23 +604,18 @@ func (e *cycleEngine) runScript(sc logp.Script) error {
 	return e.loop()
 }
 
-// loop is the commit loop shared by both guest forms. The ready heap
+// loop is the commit loop shared by both guest forms. The ready queue
 // realizes exactly the order the former O(p) scan picked — the
-// runnable guest with the smallest clock, lowest id on ties — at
-// O(log p) per step.
+// runnable guest with the smallest clock, lowest id on ties.
 //
 //hot:path the Theorem 1 cycle engine's per-event commit loop
 func (e *cycleEngine) loop() error {
 	for {
-		horizon := int64(math.MaxInt64)
-		if len(e.ready) > 0 {
-			horizon = e.ready[0].clock
-		}
-		if len(e.events) > 0 && e.events[0].time <= horizon {
-			e.deliverInstant(e.events[0].time)
+		if e.events.Len() > 0 && e.events.MinTime() <= e.ready.MinClock() {
+			e.deliverInstant(e.events.MinTime())
 			continue
 		}
-		if len(e.ready) == 0 {
+		if e.ready.Len() == 0 {
 			allDone := true
 			for i := range e.procs {
 				if e.procs[i].state != cycleDone {
@@ -745,12 +631,15 @@ func (e *cycleEngine) loop() error {
 			}
 			return e.deadlockError()
 		}
-		ref := e.ready.popMin()
-		e.exec(&e.procs[ref.id])
+		clock, id := e.ready.Pop()
+		// Every arrival at or before clock is delivered and no later
+		// submission can arrive at or below it.
+		e.events.Advance(clock)
+		e.exec(&e.procs[id])
 	}
 
-	for len(e.events) > 0 {
-		e.deliverInstant(e.events[0].time)
+	for e.events.Len() > 0 {
+		e.deliverInstant(e.events.MinTime())
 	}
 	for i := range e.procs {
 		if c := e.procs[i].clock; c > e.guestTime {
@@ -776,7 +665,7 @@ func (e *cycleEngine) deadlockError() error {
 
 // await obtains p's next request — resuming the coroutine or running
 // the script segment — and, if the guest stays runnable, parks it in
-// the ready heap. Every caller has p out of the heap (startup, or just
+// the ready queue. Every caller has p out of the queue (startup, or just
 // popped by exec's committer), so the push cannot duplicate.
 func (e *cycleEngine) await(p *cycleProc) {
 	if p.next == nil {
@@ -791,14 +680,14 @@ func (e *cycleEngine) await(p *cycleProc) {
 			}
 		default:
 			p.state = cycleReady
-			e.ready.push(cycleReadyRef{clock: p.clock, id: int32(p.id)})
+			e.ready.Push(p.clock, int32(p.id))
 		}
 		return
 	}
 	if _, ok := p.next(); ok {
 		p.pending = p.out
 		p.state = cycleReady
-		e.ready.push(cycleReadyRef{clock: p.clock, id: int32(p.id)})
+		e.ready.Push(p.clock, int32(p.id))
 		return
 	}
 	p.state = cycleDone
@@ -1041,8 +930,7 @@ func (e *cycleEngine) exec(p *cycleProc) {
 		}
 		e.countSend(cycle, req.msg)
 		e.totalMsgs++
-		e.seq++
-		e.events.push(cycleEventRef{time: arrival, seq: e.seq, idx: e.newRec(req.msg)})
+		e.events.Push(arrival, 0, e.newRec(req.msg))
 		if arrival > e.guestTime {
 			e.guestTime = arrival
 		}
@@ -1086,11 +974,11 @@ func (e *cycleEngine) completeRecv(p *cycleProc) {
 
 func (e *cycleEngine) deliverInstant(t int64) {
 	wake := e.wake[:0]
-	for len(e.events) > 0 && e.events[0].time == t {
-		ev := e.events.popMin()
-		dst := e.recs[ev.idx].msg.Dst
+	for e.events.Len() > 0 && e.events.MinTime() == t {
+		idx, _ := e.events.Pop()
+		dst := e.recs[idx].msg.Dst
 		p := &e.procs[dst]
-		e.appendBuf(p, ev.idx, t)
+		e.appendBuf(p, idx, t)
 		if p.state == cycleWaitMsg {
 			//lint:ignore hotloop wake-list staging reuses e.wake via [:0]; growth is bounded by the per-instant delivery high-water
 			wake = append(wake, int32(dst))

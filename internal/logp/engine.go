@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/horizon"
 	"repro/internal/stats"
 )
 
@@ -193,19 +194,28 @@ type Machine struct {
 	doneStall     int64
 	doneBufLen    map[int]int
 
-	events eventHeap
-	seq    int64
+	// events holds the medium's pending events: deliveries and
+	// submissions threaded through their slab records' next field,
+	// popped in (time, kind, push order) order — deliveries before
+	// submissions within an instant. It is a ring of per-instant
+	// buckets two latency windows wide (see horizon.Events) whose base
+	// follows the committed instant and the committing processor's
+	// clock: every delivery lands within L of the instant being
+	// committed and every submission within max(o, G) <= L of its
+	// processor's clock, so every event fits the ring and pushes and
+	// pops cost O(1).
+	events horizon.Events
+	// recNext links a record into the event queue's FIFOs; it is built
+	// once per machine so reset allocates nothing.
+	recNext func(int32) *int32
 
-	// ready is a binary min-heap of runnable processors keyed by
-	// (clock, id); it replaces the per-step O(P) scan of the first
-	// engine version. A processor is in the heap exactly while its
-	// state is stateReady and the scheduler is not already committed
-	// to running it. Entries are 16-byte (clock, id) values rather
-	// than *proc — a processor's clock only advances while it is out
-	// of the heap, so the copied key never goes stale, and the sift
-	// loops compare dense cache lines instead of chasing per-proc
-	// pointers.
-	ready []readyRef
+	// ready holds the runnable processors keyed by (clock, id) in
+	// per-clock buckets (see horizon.Ready); it replaces the per-step
+	// O(P) scan of the first engine version. A processor is queued
+	// exactly while its state is stateReady and the scheduler is not
+	// already committed to running it. Its clock only advances while
+	// it is out of the queue, so the key never goes stale.
+	ready horizon.Ready
 
 	pendingQ  [][]int32 // per destination: recSlab indices, FIFO by (subAt, src)
 	inTransit []int64   // per destination
@@ -244,7 +254,7 @@ type Machine struct {
 
 	// resumeFloor is a lower bound on the clock at which any processor
 	// that the scheduler is about to re-enter — but which is not yet
-	// in the ready heap — may next act. It is 0 during the startup
+	// in the ready queue — may next act. It is 0 during the startup
 	// sweep (unstarted programs begin at clock 0), the current instant
 	// during processInstant's wake sweeps, and MaxInt64 otherwise.
 	// localWatermark folds it into the fast-path delivery watermark.
@@ -330,7 +340,7 @@ func (m *Machine) Params() Params { return m.params }
 // WithSeed(seed): the run counter restarts, so the next Run samples
 // exactly the execution a fresh machine's first Run would. It exists
 // so that experiment loops sweeping seeds can reuse one machine's
-// processor pool, slabs, and heaps across trials instead of building
+// processor pool, slabs, and queues across trials instead of building
 // a machine per seed.
 //
 // bsplogpvet: engine-internal. Only the engine family (the core and
@@ -425,8 +435,8 @@ func (m *Machine) Run(prog Program) (Result, error) {
 //
 //hot:cold per-Run epilogue: the Result assembly may allocate
 func (m *Machine) finishRun() (Result, error) {
-	for m.events.len() > 0 {
-		m.processInstant(m.events.minTime())
+	for m.events.Len() > 0 {
+		m.processInstant(m.events.MinTime())
 	}
 	m.drainEmit()
 	addSimEvents(m.simEvents)
@@ -517,15 +527,11 @@ func (m *Machine) runSequential(prog Program) error {
 //hot:path the sequential engine's per-event commit loop
 func (m *Machine) commitLoop() error {
 	for {
-		horizon := int64(math.MaxInt64)
-		if len(m.ready) > 0 {
-			horizon = m.ready[0].clock
-		}
-		if m.events.len() > 0 && m.events.minTime() <= horizon {
-			m.processInstant(m.events.minTime())
+		if m.events.Len() > 0 && m.events.MinTime() <= m.ready.MinClock() {
+			m.processInstant(m.events.MinTime())
 			continue
 		}
-		if len(m.ready) == 0 {
+		if m.ready.Len() == 0 {
 			if m.templateCount > 0 {
 				// Nothing can deliver to the remaining passive
 				// processors anymore; run their prefixes as the dense
@@ -547,24 +553,23 @@ func (m *Machine) commitLoop() error {
 		// Run the minimum-(clock, id) processor, and keep running
 		// whichever processor is the scheduler's next choice without
 		// returning to the outer loop: consecutive operations of one
-		// processor skip the heap entirely, and a handover to another
-		// ready processor is a single top-replacement sift instead of
-		// a push/pop pair.
+		// processor skip the ready queue entirely.
 		p := m.popReady()
 		for {
+			// Every event at or before p.clock is committed and nothing
+			// can be scheduled below it any more (see events).
+			m.events.Advance(p.clock)
 			m.exec(p)
 			if p.state != stateReady {
 				break
 			}
-			if m.events.len() > 0 && m.events.minTime() <= p.clock {
+			if m.events.Len() > 0 && m.events.MinTime() <= p.clock {
 				m.pushReady(p)
 				break
 			}
-			if len(m.ready) > 0 && readyBefore(m.ready[0], readyRef{clock: p.clock, id: int32(p.id)}) {
-				next := m.procs[m.ready[0].id]
-				m.ready[0] = readyRef{clock: p.clock, id: int32(p.id)}
-				m.siftDownReady()
-				p = next
+			if m.readyBefore(p) {
+				m.pushReady(p)
+				p = m.popReady()
 			}
 		}
 	}
@@ -616,9 +621,15 @@ func (m *Machine) reset() {
 	if m.script != nil && len(m.procTimes) != p {
 		m.procTimes = make([]int64, p)
 	}
-	m.events = m.events[:0]
-	m.seq = 0
-	m.ready = m.ready[:0]
+	// Both queues cover two latency windows: deliveries land within L
+	// of the committed instant, submissions within max(o, G) <= L of
+	// the committing processor's clock.
+	if m.recNext == nil {
+		m.recNext = func(i int32) *int32 { return &m.recSlab[i].next }
+	}
+	span := 2 * (m.params.L + 1)
+	m.events.Reset(span, 2, m.recNext)
+	m.ready.Reset(span, p)
 	if len(m.pendingQ) == p {
 		for i := range m.pendingQ {
 			m.pendingQ[i] = m.pendingQ[i][:0]
@@ -784,19 +795,16 @@ func (m *Machine) deadlockError() error {
 // instant strictly below the returned value, so Buffered and failing
 // TryRecv resolve proc-side while the local clock stays below it.
 // Three sources bound it. Committed-but-unprocessed events can place a
-// delivery no earlier than the event heap's minimum time. Another
+// delivery no earlier than the event queue's minimum time. Another
 // ready processor at clock c submits no earlier than c, and every
 // delivery lands strictly after its acceptance, hence at c+1 or later.
 // resumeFloor covers processors the scheduler knows are about to act
-// at a given clock but has not yet re-entered into the ready heap
+// at a given clock but has not yet re-entered into the ready queue
 // (program startup and the per-instant wake sweeps).
 func (m *Machine) localWatermark() int64 {
-	w := int64(math.MaxInt64)
-	if m.events.len() > 0 {
-		w = m.events.minTime()
-	}
-	if len(m.ready) > 0 && m.ready[0].clock+1 < w {
-		w = m.ready[0].clock + 1
+	w := m.events.MinTime()
+	if m.ready.Len() > 0 && m.ready.MinClock()+1 < w {
+		w = m.ready.MinClock() + 1
 	}
 	if m.resumeFloor != math.MaxInt64 && m.resumeFloor+1 < w {
 		w = m.resumeFloor + 1
@@ -852,74 +860,28 @@ func (p *proc) advance() {
 	}
 }
 
-// readyRef is one ready-heap entry: the (clock, id) scheduling key,
-// copied out of the proc at push time. The copy is sound because a
-// processor's clock only advances while it is out of the heap (inside
-// exec or blocked), so the key never goes stale.
-type readyRef struct {
-	clock int64
-	id    int32
-}
-
-// readyBefore orders the ready heap by (clock, id); the id tie-break
-// reproduces the old linear scan, which kept the lowest-id processor
-// among clock ties.
-func readyBefore(a, b readyRef) bool {
-	if a.clock != b.clock {
-		return a.clock < b.clock
+// readyBefore reports whether the ready queue's minimum precedes p in
+// (clock, id) order; the id tie-break reproduces the old linear scan,
+// which kept the lowest-id processor among clock ties. Only a clock tie
+// asks for the minimum id.
+func (m *Machine) readyBefore(p *proc) bool {
+	if m.ready.Len() == 0 {
+		return false
 	}
-	return a.id < b.id
+	c := m.ready.MinClock()
+	return c < p.clock || c == p.clock && m.ready.MinID() < int32(p.id)
 }
 
-// pushReady inserts p into the ready heap.
+// pushReady queues p at its clock.
 func (m *Machine) pushReady(p *proc) {
-	h := append(m.ready, readyRef{clock: p.clock, id: int32(p.id)})
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !readyBefore(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	m.ready = h
+	m.ready.Push(p.clock, int32(p.id))
 }
 
 // popReady removes and returns the ready processor with the minimum
 // (clock, id).
 func (m *Machine) popReady() *proc {
-	h := m.ready
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	m.ready = h[:n]
-	m.siftDownReady()
-	return m.procs[top.id]
-}
-
-// siftDownReady restores the heap property after the root element was
-// replaced (by popReady's tail promotion or by the scheduler's
-// top-replacement handover).
-func (m *Machine) siftDownReady() {
-	h := m.ready
-	n := len(h)
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && readyBefore(h[l], h[min]) {
-			min = l
-		}
-		if r < n && readyBefore(h[r], h[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
+	_, id := m.ready.Pop()
+	return m.procs[id]
 }
 
 // resume answers p's pending request and obtains the next one. The
@@ -940,7 +902,7 @@ func (m *Machine) resume(p *proc, r response) {
 // exec performs p's pending operation. p must be the ready processor
 // with the minimum local clock, which guarantees that every medium
 // event at or before p.clock has been committed. Note that exec does
-// not re-enter p into the ready heap; its caller does.
+// not re-enter p into the ready queue; its caller does.
 func (m *Machine) exec(p *proc) {
 	m.simEvents++
 	req := p.pending
@@ -1042,15 +1004,15 @@ func (m *Machine) completeRecv(p *proc) {
 func (m *Machine) processInstant(t int64) {
 	capacity := m.capacity
 	// Processors woken below act at instant t; until each is back in
-	// the ready heap, the floor keeps run-ahead peers honest.
+	// the ready queue, the floor keeps run-ahead peers honest.
 	m.resumeFloor = t
 
-	for m.events.len() > 0 && m.events.minTime() == t {
-		ref := m.events.popMin()
+	for m.events.Len() > 0 && m.events.MinTime() == t {
+		idx, kind := m.events.Pop()
 		m.simEvents++
-		rec := &m.recSlab[ref.idx]
+		rec := &m.recSlab[idx]
 		dst := rec.msg.Dst
-		if ref.eventKind() == evDelivery {
+		if eventKind(kind) == evDelivery {
 			m.inTransit[dst]--
 			m.releaseSlot(dst, t)
 			if m.emitOn {
@@ -1075,10 +1037,10 @@ func (m *Machine) processInstant(t int64) {
 				if n > m.maxBuf {
 					m.maxBuf = n
 				}
-				m.recSlab[ref.idx] = msgRec{next: m.recFree}
-				m.recFree = ref.idx
+				m.recSlab[idx] = msgRec{next: m.recFree}
+				m.recFree = idx
 			} else {
-				m.appendBuf(p, ref.idx)
+				m.appendBuf(p, idx)
 				if p.bufLen > m.maxBuf {
 					m.maxBuf = p.bufLen
 				}
@@ -1093,13 +1055,13 @@ func (m *Machine) processInstant(t int64) {
 			// submission instant while the record waits for acceptance.
 			q := m.pendingQ[dst]
 			i := len(q)
-			for i > 0 && m.subBefore(ref.idx, q[i-1]) {
+			for i > 0 && m.subBefore(idx, q[i-1]) {
 				i--
 			}
 			//lint:ignore hotloop FIFO insert into the retained per-destination pending queue; capacity reaches the in-flight high-water and is reused across instants
 			q = append(q, 0)
 			copy(q[i+1:], q[i:])
-			q[i] = ref.idx
+			q[i] = idx
 			m.pendingQ[dst] = q
 			m.dirtyBits[dst>>6] |= 1 << (uint(dst) & 63)
 		}
@@ -1253,6 +1215,8 @@ func (m *Machine) chooseSlot(dst int, a int64) int64 {
 	panic(fmt.Sprintf("logp: no free delivery slot for destination %d at time %d (capacity accounting bug)", dst, a))
 }
 
+// eventKind is an event's class in the event queue: deliveries pop
+// before submissions within an instant.
 type eventKind uint8
 
 const (
@@ -1260,78 +1224,6 @@ const (
 	evSubmission
 )
 
-// eventRef is a heap entry: the (time, kind, seq) sort key plus the
-// slab index of the message record the event concerns. Sift operations
-// move these 24-byte entries instead of full message records, so the
-// heap neither copies Messages around nor allocates per event. ks
-// packs kind and commit sequence into one comparison: kind occupies
-// bit 62 (deliveries before submissions within an instant) above the
-// per-run commit counter, which resets every Run and cannot reach
-// 2^62.
-type eventRef struct {
-	time int64
-	ks   int64
-	idx  int32
-}
-
-func (r eventRef) eventKind() eventKind { return eventKind(r.ks >> 62) }
-
-type eventHeap []eventRef
-
-func (h eventHeap) len() int { return len(h) }
-
-// minTime returns the earliest pending event time; the heap must be
-// non-empty.
-func (h eventHeap) minTime() int64 { return h[0].time }
-
-func refBefore(a, b eventRef) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	return a.ks < b.ks
-}
-
-func (h *eventHeap) push(ref eventRef) {
-	a := append(*h, ref)
-	i := len(a) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !refBefore(a[i], a[parent]) {
-			break
-		}
-		a[i], a[parent] = a[parent], a[i]
-		i = parent
-	}
-	*h = a
-}
-
-func (h *eventHeap) popMin() eventRef {
-	a := *h
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	a = a[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && refBefore(a[l], a[min]) {
-			min = l
-		}
-		if r < n && refBefore(a[r], a[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		a[i], a[min] = a[min], a[i]
-		i = min
-	}
-	*h = a
-	return top
-}
-
 func (m *Machine) pushEvent(t int64, kind eventKind, idx int32) {
-	m.events.push(eventRef{time: t, ks: int64(kind)<<62 | m.seq, idx: idx})
-	m.seq++
+	m.events.Push(t, int(kind), idx)
 }

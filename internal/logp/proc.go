@@ -98,10 +98,11 @@ const (
 // msgRec is one message's slab record (Machine.recSlab), reused across
 // the message's whole lifecycle without copying: while pending, at
 // holds the submission instant (the Stalling Rule's FIFO key and stall
-// baseline); in flight, the record is referenced by its delivery
-// event; once delivered, at holds the arrival instant and next chains
-// the record into the destination's input FIFO. Freed records chain
-// through next into the machine's free list.
+// baseline); while its submission or delivery event is queued, next
+// chains it into that instant's event bucket; once delivered, at holds
+// the arrival instant and next chains the record into the
+// destination's input FIFO. Freed records chain through next into the
+// machine's free list.
 type msgRec struct {
 	msg   Message
 	at    int64

@@ -38,6 +38,23 @@ type Server struct {
 // maxSpecBytes caps a POST /jobs body; larger bodies get 413.
 const maxSpecBytes = 1 << 20
 
+// Connection timeouts of the daemon's HTTP server. A client gets
+// readHeaderTimeout to send its request headers, so one that opens
+// connections and never finishes them cannot hold sockets and
+// goroutines indefinitely; an idle keep-alive connection is closed
+// after idleTimeout. Request bodies are capped by maxSpecBytes instead
+// of a read timeout, and responses carry no write timeout because GET
+// /jobs/{job}/result blocks until the job ends.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's HTTP server for addr and h.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // New builds a server over a fresh pool of the given size.
 func New(workers, maxQueue int) *Server {
 	s := &Server{pool: NewPool(workers, maxQueue)}
@@ -205,7 +222,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // receives human-readable progress lines.
 func ListenAndServe(addr string, workers, maxQueue int, out io.Writer) error {
 	s := New(workers, maxQueue)
-	srv := &http.Server{Addr: addr, Handler: s.Handler()}
+	srv := newHTTPServer(addr, s.Handler())
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

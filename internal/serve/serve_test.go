@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -481,5 +483,48 @@ func TestRunLoadInProcess(t *testing.T) {
 	}
 	if back.TotalJobs != rep.TotalJobs || back.P99Nanos != rep.P99Nanos {
 		t.Fatalf("report did not round-trip: %+v vs %+v", back, rep)
+	}
+}
+
+// TestSlowHeaderClientDisconnected opens a connection to the daemon's
+// HTTP server, sends a request line and one header but never the blank
+// line that ends the headers, and expects the server to close the
+// connection once readHeaderTimeout has passed.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	t.Parallel()
+	s := New(1, 0)
+	defer s.Drain()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer("", s.Handler())
+	done := make(chan struct{})
+	go func() {
+		srv.Serve(ln)
+		close(done)
+	}()
+	defer func() {
+		srv.Close()
+		<-done
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: bsplogp\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	_, err = io.Copy(io.Discard, conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open %v after the incomplete headers", time.Since(start))
+	}
+	if held := time.Since(start); held < readHeaderTimeout/2 {
+		t.Errorf("connection closed after %v, before the %v header timeout", held, readHeaderTimeout)
 	}
 }
