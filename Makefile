@@ -27,10 +27,12 @@ race:
 
 # Differential fuzzing of the LogP engine, fast vs slow: the
 # WithSlowPath oracle must produce the fast path's Results, traces, and
-# audit metrics exactly. Both paths share the scheduling queues, so
+# audit metrics exactly, and the sparse Script engine must match its
+# dense coroutine oracle. Both paths share the scheduling queues, so
 # FuzzHorizonQueues checks those against a sort-based reference.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFastPathEquivalence -fuzztime 20s ./internal/logp/
+	$(GO) test -run '^$$' -fuzz FuzzScriptEquivalence -fuzztime 20s ./internal/logp/
 	$(GO) test -run '^$$' -fuzz FuzzHorizonQueues -fuzztime 20s ./internal/horizon/
 
 # Run the quick experiment suite under the streaming LogP invariant

@@ -6,6 +6,7 @@ import (
 	"iter"
 	"slices"
 
+	"repro/internal/bodies"
 	"repro/internal/bsp"
 	"repro/internal/horizon"
 	"repro/internal/logp"
@@ -198,10 +199,13 @@ func (s *LogPOnBSP) execute(prog logp.Program, sc logp.Script) (Thm1Result, erro
 // overload flag — are folded in incrementally at submission time.
 // Runnable guests sit in per-clock buckets of a ready queue (see
 // horizon.Ready), so a scheduling step costs O(1) apart from one sort
-// of each bucket that received ids out of order. Together
-// these keep a p = 10^6 replay's cost proportional to its traffic, not
-// to p times its length, with near-zero steady-state allocation on a
-// warm simulator.
+// of each bucket that received ids out of order; both queues' rings
+// span the spreading rule's reach (see reset), so a hot spot's spread
+// arrivals stay in ring buckets. Message records hold no pointers — a
+// Body waits in the bodies side table — so the GC never scans the
+// record slab. Together these keep a p = 10^6 replay's cost
+// proportional to its traffic, not to p times its length, with
+// near-zero steady-state allocation on a warm simulator.
 type cycleEngine struct {
 	lp       logp.Params
 	cycleLen int64
@@ -222,8 +226,11 @@ type cycleEngine struct {
 
 	// recs backs every in-flight or buffered message's single record;
 	// freed records recycle through the recFree intrusive free list.
+	// The records hold no pointers: Bodies sit in the bodies side table
+	// (see cycleRec).
 	recs    []cycleRec
 	recFree int32
+	bodies  bodies.Table
 
 	// Windowed per-cycle count columns (replacing the former flat count
 	// maps): colLive[colHead:] holds the live window, colLive[colHead]
@@ -300,10 +307,14 @@ func (p *cycleProc) reinit(id int, e *cycleEngine) {
 // the arrival instant and next chains the record into the
 // destination's input FIFO. Freed records chain through next into the
 // engine's free list.
+//
+// The record holds no pointer, so the GC never scans the slab: the
+// Message fields are narrowed to int32 ids (logp.Params.Validate
+// bounds P) and a Body lives in the engine's bodies.Table, body naming
+// it.
 type cycleRec struct {
-	msg  logp.Message
-	at   int64
-	next int32
+	src, dst, tag, next, body int32
+	payload, aux, at          int64
 }
 
 // cycleCols is one cycle's fan-in/out count columns. rcvd (per guest)
@@ -501,8 +512,7 @@ func isCycleStopped(r interface{}) bool {
 }
 
 // reset prepares the retained engine for a fresh replay with the given
-// shape. Slabs are truncated in place — message records zeroed so
-// stale bodies do not pin guest memory — and live count columns are
+// shape. Slabs are truncated in place and live count columns are
 // flushed back to the pool, or dropped when the (P, fold) shape
 // changed, since bundles are sized by it. Nothing is freed, so a warm
 // simulator replays with near-zero steady-state allocation.
@@ -520,19 +530,22 @@ func (e *cycleEngine) reset(lp logp.Params, cycleLen int64, fold int, keepPairs 
 	}
 	// A submission lands at most G past its guest's clock and arrives
 	// at the next cycle boundary, so two cycles plus the latency window
-	// cover every arrival but a hot spot's spread-out excess, which
-	// takes the overflow heap.
+	// cover every arrival the spreading rule leaves in place. The rule
+	// moves a hot spot's excess arrivals one per G past the boundary (see
+	// exec): a guest submits at most ceil(cycleLen/G) times per cycle, so
+	// one destination's fan-in in a cycle is at most P*ceil(cycleLen/G),
+	// and the last of them lands at most that many gaps past it. Sized
+	// to that reach, the ring takes every spread arrival short of its
+	// slot cap; only a wider reach spills into the overflow heap.
 	if e.recNext == nil {
 		e.recNext = func(i int32) *int32 { return &e.recs[i].next }
 	}
-	span := 2 * (cycleLen + lp.L)
+	span := 2*(cycleLen+lp.L) + int64(lp.P)*ceilDiv(cycleLen, lp.G)*lp.G
 	e.events.Reset(span, 1, e.recNext)
 	e.ready.Reset(span, lp.P)
-	for i := range e.recs {
-		e.recs[i] = cycleRec{}
-	}
 	e.recs = e.recs[:0]
 	e.recFree = -1
+	e.bodies.Reset()
 	if !sameShape {
 		clear(e.colPool)
 		e.colPool = e.colPool[:0]
@@ -561,8 +574,9 @@ func (e *cycleEngine) reset(lp logp.Params, cycleLen int64, fold int, keepPairs 
 }
 
 // shutdown unwinds still-parked coroutines and drops per-guest
-// closures and requests, so the retained slab pins no program state
-// (closures, message bodies) between runs.
+// closures and requests, and the Bodies of never-acquired messages
+// (buffered at a halted guest), so the retained engine pins no program
+// state (closures, message bodies) between runs.
 //
 //hot:cold per-Run epilogue
 func (e *cycleEngine) shutdown() {
@@ -575,6 +589,7 @@ func (e *cycleEngine) shutdown() {
 		p.pending, p.out, p.final = cycleReq{}, cycleReq{}, cycleReq{}
 		p.resp = cycleRes{}
 	}
+	e.bodies.Reset()
 }
 
 // run starts every coroutine guest and hands off to the commit loop.
@@ -841,18 +856,19 @@ func (e *cycleEngine) cycleFanIn(cycle int64, dst int) int64 {
 	return int64(e.colLive[idx].rcvd[dst])
 }
 
-// newRec takes a slab record for msg, reusing the free list first.
+// newRec takes a slab record for msg, reusing the free list first. A
+// Body takes a side-table slot.
 func (e *cycleEngine) newRec(msg logp.Message) int32 {
-	if e.recFree >= 0 {
-		idx := e.recFree
-		r := &e.recs[idx]
-		e.recFree = r.next
-		r.msg = msg
-		r.at = 0
-		r.next = -1
+	r := cycleRec{
+		src: int32(msg.Src), dst: int32(msg.Dst), tag: msg.Tag, next: -1, body: e.bodies.Put(msg.Body),
+		payload: msg.Payload, aux: msg.Aux,
+	}
+	if idx := e.recFree; idx >= 0 {
+		e.recFree = e.recs[idx].next
+		e.recs[idx] = r
 		return idx
 	}
-	e.recs = append(e.recs, cycleRec{msg: msg, next: -1})
+	e.recs = append(e.recs, r)
 	return int32(len(e.recs) - 1)
 }
 
@@ -870,18 +886,20 @@ func (e *cycleEngine) appendBuf(p *cycleProc, idx int32, at int64) {
 	p.bufLen++
 }
 
-// popBufFree unlinks p's buffer head, frees its record, and returns
-// the message.
+// popBufFree unlinks p's buffer head, frees its record and its Body's
+// side-table slot, and returns the message.
 func (e *cycleEngine) popBufFree(p *cycleProc) logp.Message {
 	idx := p.bufHead
 	r := &e.recs[idx]
-	msg := r.msg
+	msg := logp.Message{
+		Src: int(r.src), Dst: int(r.dst), Tag: r.tag, Payload: r.payload, Aux: r.aux,
+		Body: e.bodies.Take(r.body),
+	}
 	p.bufHead = r.next
 	if p.bufHead < 0 {
 		p.bufTail = -1
 	}
 	p.bufLen--
-	r.msg = logp.Message{}
 	r.next = e.recFree
 	e.recFree = idx
 	return msg
@@ -943,11 +961,9 @@ func (e *cycleEngine) exec(p *cycleProc) {
 		}
 	case cycleTryRecv:
 		if p.bufLen > 0 && e.recs[p.bufHead].at <= p.clock && p.nextComm <= p.clock {
-			r := p.clock
-			msg := e.popBufFree(p)
-			p.clock = r + e.lp.O
-			p.nextComm = r + e.lp.G
-			e.resume(p, cycleRes{msg: msg, ok: true})
+			// The head has arrived and the gap allows it, so the
+			// acquisition happens at p.clock, exactly as a Recv would.
+			e.completeRecv(p)
 		} else {
 			p.clock++
 			e.resume(p, cycleRes{})
@@ -976,7 +992,7 @@ func (e *cycleEngine) deliverInstant(t int64) {
 	wake := e.wake[:0]
 	for e.events.Len() > 0 && e.events.MinTime() == t {
 		idx, _ := e.events.Pop()
-		dst := e.recs[idx].msg.Dst
+		dst := e.recs[idx].dst
 		p := &e.procs[dst]
 		e.appendBuf(p, idx, t)
 		if p.state == cycleWaitMsg {

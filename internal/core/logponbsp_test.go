@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -364,6 +365,19 @@ func TestThm1FoldValidation(t *testing.T) {
 	sim = &LogPOnBSP{LogP: lp, Fold: 2, BSP: bsp.Params{P: 6, G: 2, L: 8}}
 	if _, err := sim.Run(func(p logp.Proc) {}); err == nil || !strings.Contains(err.Error(), "p/fold") {
 		t.Fatalf("expected host-size error, got %v", err)
+	}
+}
+
+// TestThm1RejectsHugeP checks that a guest count beyond the engines'
+// int32 ids fails validation before the replay builds any guest.
+func TestThm1RejectsHugeP(t *testing.T) {
+	huge := int64(math.MaxInt32) + 1
+	sim := &LogPOnBSP{LogP: logp.Params{P: int(huge), L: 8, O: 1, G: 2}}
+	if _, err := sim.Run(func(p logp.Proc) {}); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("Run with P = %d: got %v, want the Validate error", huge, err)
+	}
+	if sim.eng != nil {
+		t.Error("the replay engine was built for an invalid P")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/horizon"
 	"repro/internal/logp"
 )
 
@@ -83,12 +84,11 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestSkewedReplayGolden pins the Theorem 1 replay of a hot-spot
-// exchange whose spread-out arrivals lie far past the cycle ring: the
-// Thm1Result and every guest's acquisition log must match a file
-// recorded from the binary-heap engine.
-func TestSkewedReplayGolden(t *testing.T) {
-	lp := logp.Params{P: 64, L: 16, O: 1, G: 2}
+// skewedReplayReport replays skewedExchange under lp and renders the
+// Thm1Result and every guest's acquisition log. It returns the replay's
+// event-queue counters alongside.
+func skewedReplayReport(t *testing.T, lp logp.Params) (string, horizon.Counts) {
+	t.Helper()
 	sim := &LogPOnBSP{LogP: lp}
 	log := make([][]string, lp.P)
 	res, err := sim.Run(skewedExchange(log))
@@ -98,9 +98,6 @@ func TestSkewedReplayGolden(t *testing.T) {
 	if res.CapacityViolations == 0 {
 		t.Fatal("the hot spot never overloaded a cycle")
 	}
-	if c := sim.eng.events.Counts(); c.OverflowPushes == 0 {
-		t.Errorf("no arrival took the overflow path: %+v", c)
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "bsp %d extension %d guest %d cycles %d sent %d max-h %d violations %d\n",
 		res.BSPTime, res.ExtensionTime, res.GuestTime, res.Cycles, res.MessagesSent, res.MaxCycleH, res.CapacityViolations)
@@ -108,5 +105,83 @@ func TestSkewedReplayGolden(t *testing.T) {
 	for id, l := range log {
 		fmt.Fprintf(&b, "%d: %s\n", id, strings.Join(l, " "))
 	}
-	checkGolden(t, "skewed_replay.txt", b.String())
+	return b.String(), sim.eng.events.Counts()
+}
+
+// TestSkewedReplayGolden pins the Theorem 1 replay of a hot-spot
+// exchange whose spread-out arrivals lie far past the cycle boundary:
+// the Thm1Result and every guest's acquisition log must match a file
+// recorded from the binary-heap engine. The replay's ring covers the
+// spreading rule's whole reach, so no arrival takes the overflow heap.
+func TestSkewedReplayGolden(t *testing.T) {
+	got, c := skewedReplayReport(t, logp.Params{P: 64, L: 16, O: 1, G: 2})
+	if c.OverflowPushes != 0 {
+		t.Errorf("%d arrivals took the overflow path, want 0: %+v", c.OverflowPushes, c)
+	}
+	checkGolden(t, "skewed_replay.txt", got)
+}
+
+// TestSkewedReplayOverflowGolden replays the same exchange with a gap
+// so wide (L = G = 2048) that the spread hot-spot arrivals reach past
+// the ring's 65536-slot cap: the overflow heap must take them, and the
+// result must match a file recorded before the ring was sized to the
+// spreading rule's reach.
+func TestSkewedReplayOverflowGolden(t *testing.T) {
+	got, c := skewedReplayReport(t, logp.Params{P: 64, L: 2048, O: 1, G: 2048})
+	if c.OverflowPushes == 0 {
+		t.Errorf("no arrival took the overflow path: %+v", c)
+	}
+	checkGolden(t, "skewed_replay_overflow.txt", got)
+}
+
+// countExchange is E17's count exchange in Script form: every guest
+// sends one message to every other guest in destination order, then
+// acquires the p-1 messages addressed to it.
+type countExchange struct {
+	p    int
+	step []int32
+}
+
+func (s *countExchange) Active(int) bool { return true }
+
+func (s *countExchange) Next(id int, _ logp.ScriptResult) logp.ScriptOp {
+	k := int(s.step[id])
+	s.step[id]++
+	switch {
+	case k < s.p-1:
+		dst := k
+		if dst >= id {
+			dst++
+		}
+		return logp.ScriptOp{Kind: logp.ScriptSend, Dst: dst, Tag: 1, Payload: int64(id)}
+	case k < 2*(s.p-1):
+		return logp.ScriptOp{Kind: logp.ScriptRecv}
+	default:
+		return logp.ScriptOp{Kind: logp.ScriptHalt}
+	}
+}
+
+// TestReplayHorizonCounters pins the replay's event ring to the
+// spreading rule's reach on an E17-shaped all-to-all (p = 1024, E9's
+// machine, Fold 2): every hot-spot arrival spread past its cycle
+// boundary must land in a ring bucket, none in the overflow heap. A
+// ring sized to two cycles plus the latency window sends nearly every
+// one of the 1,047,552 messages through the heap.
+func TestReplayHorizonCounters(t *testing.T) {
+	const p = 1024
+	sim := &LogPOnBSP{LogP: logp.Params{P: p, L: 16, O: 1, G: 4}, Fold: 2}
+	res, err := sim.RunScript(&countExchange{p: p, step: make([]int32, p)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MessagesSent != p*(p-1) {
+		t.Fatalf("%d messages sent, want %d", res.MessagesSent, p*(p-1))
+	}
+	c := sim.eng.events.Counts()
+	if c.OverflowPushes != 0 {
+		t.Errorf("%d arrivals took the overflow heap, want 0: %+v", c.OverflowPushes, c)
+	}
+	if c.RingPushes != res.MessagesSent {
+		t.Errorf("%d ring pushes for %d messages, want one each", c.RingPushes, res.MessagesSent)
+	}
 }

@@ -9,9 +9,14 @@
 // accepted message is delivered within (a, a+L], and a submission
 // lands at most max(o, G) after its issuer's clock — so a power-of-two
 // ring of per-instant buckets covering [base, base+W) holds nearly
-// every entry, and an occupancy bitset finds the earliest one. Entries
-// at or beyond base+W wait in an overflow heap and migrate into the
-// ring as the base advances.
+// every entry, and an occupancy bitset finds the earliest one. Each
+// engine passes its own horizon to Reset: two latency windows for the
+// LogP engine, and for the Theorem 1 cycle replay also the reach of
+// its capacity-spreading rule, which places a hot spot's excess
+// arrivals one per G past the cycle boundary. W is capped at 65536
+// slots; entries at or beyond base+W wait in an overflow heap and
+// migrate into the ring as the base advances. A ring never resizes
+// between Resets.
 //
 // The queues are monotone: nothing may be pushed below base, and base
 // follows only what the engine has committed — a popped key, or an

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/bodies"
 	"repro/internal/horizon"
 	"repro/internal/stats"
 )
@@ -225,9 +226,11 @@ type Machine struct {
 	// arrival — so the pending/in-flight/buffer structures exchange
 	// int32 indices instead of copying Message records, and freed
 	// records recycle through the recFree intrusive free list; the
-	// steady-state message path allocates nothing.
+	// steady-state message path allocates nothing. The records hold no
+	// pointers: Bodies sit in the bodies side table (see msgRec).
 	recSlab []msgRec
 	recFree int32
+	bodies  bodies.Table
 
 	// Reserved delivery instants, one ring-buffer bitset per
 	// destination instead of the first version's map[int64]struct{}.
@@ -308,13 +311,23 @@ func (m *Machine) shutdown() {
 			if p.stop != nil {
 				p.stop()
 			}
-			continue
-		}
-		if p.state != stateDone {
+		} else if p.state != stateDone {
 			p.res <- response{poison: true}
 		}
 	}
 	m.liveWG.Wait()
+	// The retained machine must pin no guest memory between Runs: drop
+	// the Bodies of never-acquired messages (buffered at a halted
+	// processor) and, in the Program form, whose messages may carry a
+	// Body, every processor's last request and response.
+	m.bodies.Reset()
+	if m.script == nil {
+		for _, p := range m.procs {
+			if p != nil {
+				p.pending, p.out, p.final, p.resp = request{}, request{}, request{}, response{}
+			}
+		}
+	}
 }
 
 // NewMachine builds a machine with the given parameters, which must
@@ -644,13 +657,9 @@ func (m *Machine) reset() {
 	} else {
 		m.inTransit = make([]int64, p)
 	}
-	// Zero before truncating so Body references from a previous run's
-	// unfinished messages do not outlive it in the slab's capacity.
-	for i := range m.recSlab {
-		m.recSlab[i] = msgRec{}
-	}
 	m.recSlab = m.recSlab[:0]
 	m.recFree = -1
+	m.bodies.Reset()
 
 	// Ring bitsets: one window of L+1 instants per destination, laid
 	// out as a single flat word slice reused across runs.
@@ -729,10 +738,14 @@ func (m *Machine) drainEmit() {
 	m.evBuf = m.evBuf[:0]
 }
 
-// newRec stores r into the slab and returns its index, reusing a
-// free-listed record when one exists.
-func (m *Machine) newRec(r msgRec) int32 {
-	r.next = -1
+// newRec records msg, submitted at instant at as message id, in the
+// slab and returns its index, reusing a free-listed record when one
+// exists. A Body takes a side-table slot.
+func (m *Machine) newRec(msg Message, at, id int64) int32 {
+	r := msgRec{
+		src: int32(msg.Src), dst: int32(msg.Dst), tag: msg.Tag, next: -1, body: m.bodies.Put(msg.Body),
+		payload: msg.Payload, aux: msg.Aux, at: at, msgID: id,
+	}
 	if i := m.recFree; i >= 0 {
 		m.recFree = m.recSlab[i].next
 		m.recSlab[i] = r
@@ -754,19 +767,21 @@ func (m *Machine) appendBuf(p *proc, idx int32) {
 	p.bufLen++
 }
 
-// popBufFree unlinks p's oldest buffered arrival and recycles its
-// record, which the caller must be done reading. The record is zeroed
-// on its way to the free list so a retained Body does not outlive its
-// acquisition.
-func (m *Machine) popBufFree(p *proc) {
+// popBufFree unlinks p's oldest buffered arrival, recycles its record
+// and returns its message. The Body's side-table slot is freed with
+// the record, so the table does not keep a Body past its acquisition.
+func (m *Machine) popBufFree(p *proc) Message {
 	i := p.bufHead
-	p.bufHead = m.recSlab[i].next
+	r := &m.recSlab[i]
+	msg := r.message(m.bodies.Take(r.body))
+	p.bufHead = r.next
 	if p.bufHead < 0 {
 		p.bufTail = -1
 	}
 	p.bufLen--
-	m.recSlab[i] = msgRec{next: m.recFree}
+	r.next = m.recFree
 	m.recFree = i
+	return msg
 }
 
 func (m *Machine) allDone() bool {
@@ -940,7 +955,7 @@ func (m *Machine) exec(p *proc) {
 		if m.emitOn {
 			m.emit(Event{Time: s, Kind: EvSubmit, Seq: m.msgSeq, Msg: req.msg})
 		}
-		m.pushEvent(s, evSubmission, m.newRec(msgRec{msg: req.msg, at: s, msgID: m.msgSeq}))
+		m.pushEvent(s, evSubmission, m.newRec(req.msg, s, m.msgSeq))
 
 	case opRecv:
 		if p.bufLen > 0 {
@@ -951,17 +966,9 @@ func (m *Machine) exec(p *proc) {
 
 	case opTryRecv:
 		if p.bufLen > 0 && m.recSlab[p.bufHead].at <= p.clock && p.nextComm <= p.clock {
-			head := &m.recSlab[p.bufHead]
-			r := p.clock
-			if m.emitOn {
-				m.emit(Event{Time: r, Kind: EvAcquire, Seq: head.msgID, Msg: head.msg})
-			}
-			p.clock = r + m.params.O
-			p.nextComm = r + m.params.G
-			p.recvd++
-			msg := head.msg
-			m.popBufFree(p)
-			m.resume(p, response{msg: msg, ok: true})
+			// The head has arrived and the gap allows it, so the
+			// acquisition happens at p.clock, exactly as a Recv would.
+			m.completeRecv(p)
 		} else {
 			p.clock++ // one polling cycle, so busy-wait loops consume time
 			m.resume(p, response{})
@@ -983,15 +990,15 @@ func (m *Machine) completeRecv(p *proc) {
 	if p.nextComm > r {
 		r = p.nextComm
 	}
+	seq := head.msgID
+	msg := m.popBufFree(p)
 	if m.emitOn {
-		m.emit(Event{Time: r, Kind: EvAcquire, Seq: head.msgID, Msg: head.msg})
+		m.emit(Event{Time: r, Kind: EvAcquire, Seq: seq, Msg: msg})
 	}
 	p.clock = r + m.params.O
 	p.nextComm = r + m.params.G
 	p.recvd++
 	p.state = stateReady
-	msg := head.msg
-	m.popBufFree(p)
 	m.resume(p, response{msg: msg, ok: true})
 }
 
@@ -1011,12 +1018,12 @@ func (m *Machine) processInstant(t int64) {
 		idx, kind := m.events.Pop()
 		m.simEvents++
 		rec := &m.recSlab[idx]
-		dst := rec.msg.Dst
+		dst := int(rec.dst)
 		if eventKind(kind) == evDelivery {
 			m.inTransit[dst]--
 			m.releaseSlot(dst, t)
 			if m.emitOn {
-				m.emit(Event{Time: t, Kind: EvDeliver, Seq: rec.msgID, Msg: rec.msg})
+				m.emit(Event{Time: t, Kind: EvDeliver, Seq: rec.msgID, Msg: rec.message(m.bodies.Get(rec.body))})
 			}
 			p := m.procs[dst]
 			if p == nil && !m.started(dst) {
@@ -1031,13 +1038,15 @@ func (m *Machine) processInstant(t int64) {
 				// The destination halted and was recycled. The dense
 				// engine would append to the done processor's buffer
 				// forever; only the depth is observable, so track it in
-				// doneBufLen and free the record immediately.
+				// doneBufLen and free the record and its Body slot
+				// immediately.
 				n := m.doneBufLen[dst] + 1
 				m.doneBufLen[dst] = n
 				if n > m.maxBuf {
 					m.maxBuf = n
 				}
-				m.recSlab[idx] = msgRec{next: m.recFree}
+				m.bodies.Take(rec.body)
+				rec.next = m.recFree
 				m.recFree = idx
 			} else {
 				m.appendBuf(p, idx)
@@ -1081,7 +1090,8 @@ func (m *Machine) processInstant(t int64) {
 			copy(q[idx:], q[idx+1:])
 			m.pendingQ[dst] = q[:len(q)-1]
 			sub := &m.recSlab[ri]
-			sender := m.procs[sub.msg.Src]
+			sid := int(sub.src)
+			sender := m.procs[sid]
 			if t > sub.at {
 				sender.stallCycles += t - sub.at
 				sender.stallEvents++
@@ -1094,10 +1104,9 @@ func (m *Machine) processInstant(t int64) {
 				panic(fmt.Sprintf("logp: capacity constraint violated at destination %d (bug)", dst))
 			}
 			if m.emitOn {
-				m.emit(Event{Time: t, Kind: EvAccept, Seq: sub.msgID, Msg: sub.msg})
+				m.emit(Event{Time: t, Kind: EvAccept, Seq: sub.msgID, Msg: sub.message(m.bodies.Get(sub.body))})
 			}
 			m.pushEvent(d, evDelivery, ri)
-			sid := sub.msg.Src
 			m.wakeSendBits[sid>>6] |= 1 << (uint(sid) & 63)
 		}
 	}
@@ -1169,7 +1178,7 @@ func (m *Machine) subBefore(a, b int32) bool {
 	if ra.at != rb.at {
 		return ra.at < rb.at
 	}
-	return ra.msg.Src < rb.msg.Src
+	return ra.src < rb.src
 }
 
 // chooseSlot picks a free delivery instant in (a, a+L] for destination

@@ -22,7 +22,10 @@
 // ordinary imperative style against the Proc interface.
 package logp
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Params carries the LogP machine parameters. Following the paper, the
 // time unit is the duration of one local operation, and the parameters
@@ -88,10 +91,14 @@ func (p Params) SubmitAt(t int64) int64 {
 
 // Validate reports whether the parameters satisfy the constraints the
 // paper argues are necessary for a realizable machine:
-// P >= 1 and max(2, O) <= G <= L, with O >= 1.
+// P >= 1 and max(2, O) <= G <= L, with O >= 1. The engines also keep
+// processor ids in int32 fields, so P may not exceed math.MaxInt32.
 func (p Params) Validate() error {
 	if p.P < 1 {
 		return fmt.Errorf("logp: P = %d, need at least one processor", p.P)
+	}
+	if p.P > math.MaxInt32 {
+		return fmt.Errorf("logp: P = %d exceeds %d, the largest processor count the engines index", p.P, math.MaxInt32)
 	}
 	if p.O < 1 {
 		return fmt.Errorf("logp: o = %d, overhead must be at least 1", p.O)

@@ -1,6 +1,8 @@
 package logp
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -41,6 +43,24 @@ func TestParamsValidateRejects(t *testing.T) {
 			t.Errorf("%v: error %q does not mention %q", c.p, err, c.want)
 		}
 	}
+}
+
+// TestParamsValidateRejectsHugeP checks the int32 bound on P without
+// building a machine: Validate and NewMachine must refuse before any
+// per-processor state exists.
+func TestParamsValidateRejectsHugeP(t *testing.T) {
+	huge := int64(math.MaxInt32) + 1
+	p := Params{P: int(huge), L: 8, O: 1, G: 2}
+	err := p.Validate()
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("Validate(P = %d) = %v, want an error naming the bound", huge, err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "exceeds") {
+			t.Errorf("NewMachine(P = %d) recovered %v, want the Validate panic", huge, r)
+		}
+	}()
+	NewMachine(p)
 }
 
 func TestCapacity(t *testing.T) {

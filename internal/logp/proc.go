@@ -103,11 +103,18 @@ const (
 // the arrival instant and next chains the record into the
 // destination's input FIFO. Freed records chain through next into the
 // machine's free list.
+//
+// The record holds no pointer, so the GC never scans the slab: the
+// Message fields are narrowed to int32 ids (Params.Validate bounds P)
+// and a Body lives in the machine's bodies.Table, body naming it.
 type msgRec struct {
-	msg   Message
-	at    int64
-	msgID int64
-	next  int32
+	src, dst, tag, next, body int32
+	payload, aux, at, msgID   int64
+}
+
+// message rebuilds the Message r carries, with the given Body.
+func (r *msgRec) message(body interface{}) Message {
+	return Message{Src: int(r.src), Dst: int(r.dst), Tag: r.tag, Payload: r.payload, Aux: r.aux, Body: body}
 }
 
 // proc is the engine-side representation of a processor; it also
