@@ -30,10 +30,13 @@ race:
 # audit metrics exactly, and the sparse Script engine must match its
 # dense coroutine oracle. Both paths share the scheduling queues, so
 # FuzzHorizonQueues checks those against a sort-based reference.
+# FuzzRouteReference checks the packet network (Router and Stepper,
+# which share one fabric) against a literal slice-FIFO simulator.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFastPathEquivalence -fuzztime 20s ./internal/logp/
 	$(GO) test -run '^$$' -fuzz FuzzScriptEquivalence -fuzztime 20s ./internal/logp/
 	$(GO) test -run '^$$' -fuzz FuzzHorizonQueues -fuzztime 20s ./internal/horizon/
+	$(GO) test -run '^$$' -fuzz FuzzRouteReference -fuzztime 20s ./internal/netsim/
 
 # Run the quick experiment suite under the streaming LogP invariant
 # auditor; fails on any model-invariant violation (see EXPERIMENTS.md).
@@ -49,10 +52,12 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Microbenchmarks of the packet-network simulator hot path (Route,
-# Stepper, MeasureGL). BenchmarkRoute must stay at ~0 allocs/op in
-# steady state; use a long -benchtime so ring warm-up amortizes away.
+# Stepper, MeasureGL), then one MeasureGL sweep per Table 1 graph at
+# p ~ 256 reporting ns/hop. BenchmarkRoute must stay at ~0 allocs/op
+# in steady state; use a long -benchtime so pool warm-up amortizes away.
 bench-netsim:
-	$(GO) test -run '^$$' -bench 'BenchmarkRoute|BenchmarkStepper|BenchmarkMeasureGL' -benchtime 1000x -benchmem ./internal/netsim/
+	$(GO) test -run '^$$' -bench 'BenchmarkRoute|BenchmarkStepper|BenchmarkMeasureGL$$' -benchtime 1000x -benchmem ./internal/netsim/
+	$(GO) test -run '^$$' -bench 'BenchmarkMeasureGLTable1' -benchtime 10x -benchmem ./internal/netsim/
 
 # Regenerate the checked-in BENCH_logp.json (see EXPERIMENTS.md).
 # Median of 5 repetitions smooths scheduler noise out of the report.

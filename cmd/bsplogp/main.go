@@ -53,7 +53,7 @@ func run(args []string, out, errOut io.Writer) int {
 		all        = fs.Bool("all", false, "run every experiment")
 		list       = fs.Bool("list", false, "list experiments and exit")
 		quick      = fs.Bool("quick", false, "shrink processor counts and trials")
-		scale      = fs.Bool("scale", false, "select the large-p scale experiments (E14/E15/E16 at p=10^4..10^6, E17 at p=1024/2048) instead of the regular suite; with -quick the p=10^6 entries are skipped and the rest run at p=10^5")
+		scale      = fs.Bool("scale", false, "select the large-p scale experiments (E14/E15/E16 at p=10^4..10^6, E17 at p=1024/2048) instead of the regular suite; with -quick the p=10^6 entries and E17.p2k are skipped and E14/E15/E16 run at p<=10^5")
 		seed       = fs.Uint64("seed", 1, "random seed")
 		doBench    = fs.Bool("bench", false, "benchmark experiments (all, or the one given by -experiment) and write a JSON report")
 		benchOut   = fs.String("benchout", "BENCH_logp.json", "path of the JSON report written by -bench")
@@ -172,19 +172,6 @@ func run(args []string, out, errOut io.Writer) int {
 		debug.SetGCPercent(50)
 	}
 
-	// The scale registry's default selection: everything, or under
-	// -quick only the entries whose processor count fits a smoke run.
-	scaleIDs := func() []string {
-		var ids []string
-		for _, e := range bench.Scale() {
-			if *quick && e.Procs > 100_000 {
-				continue
-			}
-			ids = append(ids, e.ID)
-		}
-		return ids
-	}
-
 	if *benchDiff {
 		paths := fs.Args()
 		if len(paths) != 2 {
@@ -261,7 +248,7 @@ func run(args []string, out, errOut io.Writer) int {
 		if *id != "" {
 			ids = []string{*id}
 		} else if *scale {
-			ids = scaleIDs()
+			ids = scaleIDs(*quick)
 		}
 		// Every -bench run covers a subset of the registry (a single
 		// -experiment, the -scale suite, or the regular suite without
@@ -348,7 +335,7 @@ func run(args []string, out, errOut io.Writer) int {
 		}
 		runOne(e)
 	case *scale:
-		for _, sid := range scaleIDs() {
+		for _, sid := range scaleIDs(*quick) {
 			e, _ := bench.Lookup(sid)
 			runOne(e)
 		}
@@ -357,4 +344,19 @@ func run(args []string, out, errOut io.Writer) int {
 		return 2
 	}
 	return 0
+}
+
+// scaleIDs is the scale registry's default selection: everything, or
+// under -quick only the entries that fit a smoke run and do not repeat
+// a smaller entry's table (bench.QuickScale).
+func scaleIDs(quick bool) []string {
+	exps := bench.Scale()
+	if quick {
+		exps = bench.QuickScale()
+	}
+	ids := make([]string, len(exps))
+	for i, e := range exps {
+		ids[i] = e.ID
+	}
+	return ids
 }

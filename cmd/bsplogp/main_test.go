@@ -343,3 +343,20 @@ func TestCLIServeBadAddr(t *testing.T) {
 		t.Fatalf("exit %d, want 1: %s", code, errOut.String())
 	}
 }
+
+// TestScaleQuickSelection pins -scale -quick's default selection: the
+// p <= 10^5 entries of E14-E16 and E17.p1k, without E17.p2k, which
+// Quick would clamp to p = 1024 and so print E17.p1k's table twice.
+// The full selection keeps every entry.
+func TestScaleQuickSelection(t *testing.T) {
+	want := "E14.p10k E15.p10k E16.p10k E14.p100k E15.p100k E16.p100k E17.p1k"
+	if got := strings.Join(scaleIDs(true), " "); got != want {
+		t.Errorf("quick scale selection\n got %s\nwant %s", got, want)
+	}
+	full := strings.Join(scaleIDs(false), " ")
+	for _, id := range []string{"E14.p1m", "E16.p1m", "E17.p1k", "E17.p2k"} {
+		if !strings.Contains(full, id) {
+			t.Errorf("full scale selection %q lacks %s", full, id)
+		}
+	}
+}

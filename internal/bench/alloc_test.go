@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/logp"
@@ -43,5 +44,25 @@ func TestScaleRandSteadyStateAllocGuard(t *testing.T) {
 	// while staying far below anything O(p) or O(p*h).
 	if avg > 8 {
 		t.Errorf("warm E16 trial allocates %.1f objects/run, want <= 8", avg)
+	}
+}
+
+// TestE6ColdMachineBytes pins what small cold machines cost: quick E6
+// builds a fresh P = 9 and P = 17 LogP machine (and a Theorem 1
+// replay) per h, so a full run allocates little beyond its processor
+// records once the arena sizes its chunks from P. With a fixed
+// 4096-record chunk per machine the same run allocated about 4 MB.
+func TestE6ColdMachineBytes(t *testing.T) {
+	cfg := Config{Quick: true, Seed: 1}
+	E6Stalling(cfg) // one-time package and runtime set-up
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		E6Stalling(cfg)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 256<<10 {
+		t.Errorf("quick E6 on fresh machines allocates %d KB per run, want < 256 KB", per>>10)
 	}
 }

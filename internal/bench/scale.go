@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/bsp"
 	"repro/internal/collective"
@@ -300,8 +301,8 @@ func runScaleScript(cfg Config, lp logp.Params, s logp.Script) logp.Result {
 func E14Scale(procs int) func(Config) *Table {
 	return func(cfg Config) *Table {
 		p := procs
-		if cfg.Quick && p > 100_000 {
-			p = 100_000
+		if cfg.Quick {
+			p = min(p, quickScaleProcs)
 		}
 		lp := scaleLogP(p)
 		t := &Table{
@@ -344,8 +345,8 @@ func E14Scale(procs int) func(Config) *Table {
 func E15Scale(procs int) func(Config) *Table {
 	return func(cfg Config) *Table {
 		p := procs
-		if cfg.Quick && p > 100_000 {
-			p = 100_000
+		if cfg.Quick {
+			p = min(p, quickScaleProcs)
 		}
 		lp := scaleLogP(p)
 		bp := bsp.Params{P: p, G: lp.G, L: lp.L}
@@ -403,9 +404,7 @@ func E16Scale(procs int) func(Config) *Table {
 		seeds := 3
 		if cfg.Quick {
 			seeds = 2
-			if p > 100_000 {
-				p = 100_000
-			}
+			p = min(p, quickScaleProcs)
 		}
 		lp := scaleRandLogP(p)
 		capacity := int(lp.Capacity())
@@ -468,8 +467,8 @@ const scaleRandWindow = 8
 func E17Scale(procs int) func(Config) *Table {
 	return func(cfg Config) *Table {
 		p := procs
-		if cfg.Quick && p > 1024 {
-			p = 1024
+		if cfg.Quick {
+			p = min(p, e17QuickProcs)
 		}
 		const perProc = 8
 		keyRange := 1 << 16
@@ -498,11 +497,36 @@ func E17Scale(procs int) func(Config) *Table {
 	}
 }
 
+// quickScaleProcs caps E14-E16 under Quick; e17QuickProcs caps E17,
+// whose count exchange grows as p².
+const (
+	quickScaleProcs = 100_000
+	e17QuickProcs   = 1024
+)
+
+// QuickScale lists the scale experiments a quick run selects: those
+// whose size fits under their Quick cap. The p = 10^6 entries and
+// E17.p2k are left out, since Quick would clamp each to the size of a
+// smaller entry and run the same table again.
+func QuickScale() []Experiment {
+	var out []Experiment
+	for _, e := range Scale() {
+		limit := quickScaleProcs
+		if strings.HasPrefix(e.ID, "E17.") {
+			limit = e17QuickProcs
+		}
+		if e.Procs <= limit {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // Scale lists the large-p experiments at p = 10^4, 10^5, 10^6. They
 // are registered separately from All(): each run is seconds of wall
 // time and hundreds of megabytes of guest state, which would swamp the
-// quick suite. cmd/bsplogp selects them with -scale; under -quick the
-// p=10^6 entries are skipped and the rest shrink to p = 10^5.
+// quick suite. cmd/bsplogp selects them with -scale; under -quick it
+// runs QuickScale's subset.
 func Scale() []Experiment {
 	sizes := []struct {
 		suffix string

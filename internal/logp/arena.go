@@ -1,5 +1,7 @@
 package logp
 
+import "math/bits"
+
 // The proc arena: chunked slab storage for engine-side processor
 // records. The first engine versions allocated each proc individually
 // (&proc{} in ensureProc), which at p = 10⁶ meant a million separate
@@ -21,10 +23,12 @@ package logp
 // both hold *proc into chunks — and must not be retained across Runs,
 // which the engine's reset discipline already guarantees.
 
-// procChunkBits sizes arena chunks at 1<<procChunkBits records
-// (~1.3 MB per chunk at the current proc size): large enough that a
+// procChunkBits caps arena chunks at 1<<procChunkBits records (~1.3 MB
+// per chunk at the current proc size): large enough that a
 // million-processor startup allocates only a few hundred chunks, small
-// enough that sparse runs do not overcommit.
+// enough that sparse runs do not overcommit. Machines with fewer
+// processors get smaller chunks (see sizeFor), so a P = 9 machine's
+// arena is 16 records, not 4096 zeroed ones.
 const procChunkBits = 12
 
 // procArena is the chunked slab. used counts records handed out since
@@ -33,17 +37,30 @@ const procChunkBits = 12
 type procArena struct {
 	chunks [][]proc
 	used   int
+	// narrow is procChunkBits minus this arena's chunk width in bits,
+	// set once by sizeFor; the zero value keeps full-width chunks.
+	narrow uint8
+}
+
+// sizeFor sizes the arena's chunks for a machine of p processors:
+// min(1<<procChunkBits, the next power of two >= p) records each. It
+// must be called before the first alloc.
+func (a *procArena) sizeFor(p int) {
+	if p < 1<<procChunkBits {
+		a.narrow = uint8(procChunkBits - bits.Len(uint(max(p, 1)-1)))
+	}
 }
 
 // alloc hands out the next record. Records come back zeroed only on
 // first use; reused records carry their previous run's state and the
 // caller must reinit them (ensureProc does).
 func (a *procArena) alloc() *proc {
-	ci := a.used >> procChunkBits
-	off := a.used & (1<<procChunkBits - 1)
+	chunkBits := procChunkBits - uint(a.narrow)
+	ci := a.used >> chunkBits
+	off := a.used & (1<<chunkBits - 1)
 	if ci == len(a.chunks) {
 		//lint:ignore allocdiscipline chunk growth is amortized to the record high-water mark; a warm machine re-hands existing chunks
-		a.chunks = append(a.chunks, make([]proc, 1<<procChunkBits))
+		a.chunks = append(a.chunks, make([]proc, 1<<chunkBits))
 	}
 	a.used++
 	return &a.chunks[ci][off]

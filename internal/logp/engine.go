@@ -340,6 +340,7 @@ func NewMachine(params Params, opts ...Option) *Machine {
 		panic("logp: NewMachine: " + strings.TrimPrefix(err.Error(), "logp: "))
 	}
 	m := &Machine{params: params, policy: DeliverMaxLatency, seed: 1}
+	m.arena.sizeFor(params.P)
 	for _, o := range opts {
 		o(m)
 	}

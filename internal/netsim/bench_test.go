@@ -17,7 +17,7 @@ func benchRelation(g *topology.Graph, h int, seed uint64) relation.Relation {
 
 // BenchmarkRoute measures one Route call on a reused Router — the hot
 // path behind every MeasureGL trial. Steady-state allocations must be
-// ~0: the rings, bitsets, and arrival buffer reach their high-water
+// ~0: the packet pool, bitsets, and move buffer reach their high-water
 // marks in the first iteration.
 func BenchmarkRoute(b *testing.B) {
 	for _, bc := range []struct {
@@ -34,12 +34,15 @@ func BenchmarkRoute(b *testing.B) {
 			rel := benchRelation(bc.g, 8, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
+			var hops int64
 			for i := 0; i < b.N; i++ {
 				r := rt.Route(rel, RouteOptions{Seed: uint64(i)})
 				if r.Steps == 0 {
 					b.Fatal("no routing happened")
 				}
+				hops += r.TotalHops
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
 		})
 	}
 }
@@ -80,5 +83,37 @@ func BenchmarkMeasureGL(b *testing.B) {
 		if m.G <= 0 {
 			b.Fatal("degenerate fit")
 		}
+	}
+}
+
+// BenchmarkMeasureGLTable1 times one single-worker MeasureGL sweep
+// (E1's grid h = 1, 2, 4, 8, 16, 3 trials) on each of Table 1's eight
+// graphs at about 256 processors, as E1 builds them at paper size, on
+// a held Router. ns/hop is the wall time per simulated link traversal,
+// relation draws included: the figure the packet fabric moves.
+func BenchmarkMeasureGLTable1(b *testing.B) {
+	for _, g := range []*topology.Graph{
+		topology.Array(16, 2, false),
+		topology.Array(7, 3, false),
+		topology.Hypercube(256, true),
+		topology.Hypercube(256, false),
+		topology.Butterfly(6),
+		topology.CCC(6),
+		topology.ShuffleExchange(8),
+		topology.MeshOfTrees(16),
+	} {
+		b.Run(g.Name, func(b *testing.B) {
+			net := New(g)
+			hs := []int{1, 2, 4, 8, 16}
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := SimHopCount()
+			for i := 0; i < b.N; i++ {
+				if m := net.measureGL(hs, 3, uint64(i+1), false, 1); m.G <= 0 {
+					b.Fatal("degenerate fit")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(SimHopCount()-start), "ns/hop")
+		})
 	}
 }

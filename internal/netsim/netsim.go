@@ -14,16 +14,18 @@
 // The hot loop is index-routed and allocation-free: Network.New
 // precomputes the outgoing directed-edge index of every (node,
 // destination) pair, so forwarding a packet is one table lookup and
-// one ring-buffer push; a step visits only the links that actually
-// hold packets (tracked by a bitset of active edges, or per-node
-// non-empty counters under single-port). A Router owns the reusable
-// scratch, so repeated Route calls allocate nothing once the rings
-// reach their high-water marks.
+// one push onto an intrusive FIFO threaded through a pooled packet
+// store. Router (batch) and Stepper (incremental) share that store
+// and its arbiter (fabric.go): a step visits only the links that hold
+// packets, tracked by a bitset of active edges under multi-port, or
+// by a per-node mask of non-empty out-links under single-port, where
+// the round-robin pick is one bit scan and no division. Both own
+// their scratch, so repeated runs allocate nothing once the pool
+// reaches its high-water size.
 package netsim
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -46,72 +48,87 @@ func SimHopCount() int64 { return simHops.Load() }
 // Network wraps a topology with routing tables.
 type Network struct {
 	G *topology.Graph
-	// nextEdge[d*n + u] is the directed-edge index of u's outgoing
-	// link toward node d along a shortest path (-1 when u == d): the
-	// O(1) routing table the hot loop uses instead of scanning
-	// G.Adj[u]. Destination-major layout keeps the per-destination
-	// BFS fill cache-local.
-	nextEdge []int32
-	// edgeIdx[u][k] is the directed-edge index of u's k-th outgoing
-	// link; edges are numbered consecutively, so edgeIdx[u] is the
-	// contiguous range [edgeStart[u], edgeStart[u+1]).
-	edgeIdx [][]int32
-	// edgeStart[u] is the first directed-edge index out of u (CSR
-	// form of edgeIdx, one flat lookup in the hot loop).
+	// nextPort[d*n + u] is the port (index into G.Adj[u]) of u's
+	// outgoing link toward node d along a shortest path, noPort when
+	// u == d: the O(1) routing table the hot loop uses instead of
+	// scanning G.Adj[u]. One byte per entry (New caps degrees at 64)
+	// keeps the n² table cache-resident at Table 1 sizes;
+	// destination-major layout keeps the per-destination BFS fill
+	// cache-local.
+	nextPort []uint8
+	// edgeStart[u] is the directed-edge index of u's port 0; u's
+	// links are the consecutive edges [edgeStart[u], edgeStart[u+1]).
 	edgeStart []int32
 	// edgeTo[e] is the head node of directed edge e.
 	edgeTo []int32
-	// edgeFrom[e] is the tail node of directed edge e.
-	edgeFrom []int32
 	// procOf[node] is the processor id hosted at node, -1 for
 	// switches.
 	procOf []int32
-	nEdges int
-	diam   int
+	// uMod[u] is u mod deg(u) (0 for an isolated node), and degrees
+	// lists every distinct node degree, at most maxDeg: the
+	// single-port arbiter's division-free round-robin start.
+	uMod    []int32
+	degrees []int32
+	maxDeg  int
+	nEdges  int
+	diam    int
 }
 
-// New builds routing tables for g (BFS from every node).
+// maxDegree is the largest node degree New accepts: ports fit a byte
+// and the single-port arbiter keeps a node's non-empty out-links in
+// one uint64.
+const maxDegree = 64
+
+// noPort marks nextPort's u == d entries.
+const noPort = 0xff
+
+// New builds routing tables for g (BFS from every node). It panics
+// if a node of g has more than 64 links.
 func New(g *topology.Graph) *Network {
 	n := g.Nodes()
-	nEdges := 0
-	for _, a := range g.Adj {
-		nEdges += len(a)
-	}
 	net := &Network{
-		G:        g,
-		nextEdge: make([]int32, n*n),
-		edgeTo:   make([]int32, 0, nEdges),
-		edgeFrom: make([]int32, 0, nEdges),
-		edgeIdx:  make([][]int32, n),
+		G:         g,
+		nextPort:  make([]uint8, n*n),
+		edgeStart: make([]int32, n+1),
+		procOf:    make([]int32, n),
+		uMod:      make([]int32, n),
 	}
-	net.edgeStart = make([]int32, n+1)
-	idxBacking := make([]int32, 0, nEdges)
-	for u := 0; u < n; u++ {
-		lo := len(idxBacking)
-		net.edgeStart[u] = int32(net.nEdges)
-		for _, v := range g.Adj[u] {
-			idxBacking = append(idxBacking, int32(net.nEdges))
-			net.edgeTo = append(net.edgeTo, int32(v))
-			net.edgeFrom = append(net.edgeFrom, int32(u))
-			net.nEdges++
+	var seenDeg [maxDegree + 1]bool
+	for u, a := range g.Adj {
+		d := len(a)
+		if d > maxDegree {
+			panic(fmt.Sprintf("netsim: %s node %d has degree %d; the packet simulator supports at most %d links per node", g.Name, u, d, maxDegree))
 		}
-		net.edgeIdx[u] = idxBacking[lo:len(idxBacking):len(idxBacking)]
+		net.edgeStart[u] = int32(net.nEdges)
+		for _, v := range a {
+			net.edgeTo = append(net.edgeTo, int32(v))
+		}
+		net.nEdges += d
+		if d > 0 {
+			net.uMod[u] = int32(u % d)
+		}
+		if !seenDeg[d] {
+			seenDeg[d] = true
+			net.degrees = append(net.degrees, int32(d))
+		}
+		net.maxDeg = max(net.maxDeg, d)
 	}
 	net.edgeStart[n] = int32(net.nEdges)
-	// rev[e] is the directed edge opposite to e (the graph is
-	// undirected, so every u->v link has a v->u twin).
-	rev := make([]int32, net.nEdges)
+	// revPort[e] is the port of e's head node on the link back to e's
+	// tail (the graph is undirected, so every u->v link has a v->u
+	// twin).
+	revPort := make([]uint8, net.nEdges)
 	for u := 0; u < n; u++ {
 		for k, v := range g.Adj[u] {
-			e := net.edgeIdx[u][k]
-			rev[e] = -1
+			e := int(net.edgeStart[u]) + k
+			found := false
 			for k2, w := range g.Adj[v] {
 				if w == u {
-					rev[e] = net.edgeIdx[v][k2]
+					revPort[e], found = uint8(k2), true
 					break
 				}
 			}
-			if rev[e] < 0 {
+			if !found {
 				panic(fmt.Sprintf("netsim: %s asymmetric edge %d-%d (bug)", g.Name, u, v))
 			}
 		}
@@ -119,9 +136,9 @@ func New(g *topology.Graph) *Network {
 	// BFS from each destination over the undirected graph; the next
 	// hop toward d from a newly discovered node v is its BFS parent
 	// u, reached over the reverse of the discovering edge — recorded
-	// directly as the directed-edge index the hot loop routes by.
-	// The deepest BFS level over all destinations is the diameter,
-	// recorded as a free byproduct.
+	// directly as the port the hot loop routes by. The deepest BFS
+	// level over all destinations is the diameter, recorded as a free
+	// byproduct.
 	dist := make([]int32, n)
 	queue := make([]int32, 0, n)
 	for d := 0; d < n; d++ {
@@ -140,18 +157,17 @@ func New(g *topology.Graph) *Network {
 						net.diam = int(dist[v])
 					}
 					// From v, the next hop toward d is u.
-					net.nextEdge[d*n+int(v)] = rev[net.edgeIdx[u][k]]
+					net.nextPort[d*n+v] = revPort[int(net.edgeStart[u])+k]
 					queue = append(queue, int32(v))
 					seen++
 				}
 			}
 		}
-		net.nextEdge[d*n+d] = -1
+		net.nextPort[d*n+d] = noPort
 		if seen != n {
 			panic(fmt.Sprintf("netsim: %s disconnected (%d of %d nodes reachable from %d)", g.Name, seen, n, d))
 		}
 	}
-	net.procOf = make([]int32, n)
 	for i := range net.procOf {
 		net.procOf[i] = -1
 	}
@@ -164,11 +180,11 @@ func New(g *topology.Graph) *Network {
 // NextHop returns the neighbor of u on a shortest path to d (u itself
 // when u == d).
 func (net *Network) NextHop(u, d int) int {
-	e := net.nextEdge[d*net.G.Nodes()+u]
-	if e < 0 {
+	k := net.nextPort[d*net.G.Nodes()+u]
+	if k == noPort {
 		return u
 	}
-	return int(net.edgeTo[e])
+	return net.G.Adj[u][k]
 }
 
 // Diameter returns the graph diameter, computed as a byproduct of the
@@ -201,54 +217,29 @@ type RouteResult struct {
 	MaxQueue int
 }
 
-type packet struct {
-	dst   int32 // final destination node
-	via   int32 // Valiant intermediate (-1 when unused or passed)
-	hops  int32
-	birth int32
-}
-
-type arrival struct {
-	node int32
-	pk   packet
-}
-
-// Router owns the per-run scratch of the simulator — one ring buffer
-// per directed edge, the active-link tracking, and the arrival buffer
-// — so that repeated Route calls on the same Network reuse memory and
-// reach zero steady-state allocations. A Router is not safe for
-// concurrent use; build one per goroutine (they share the Network's
-// immutable tables). After a MaxSteps panic the Router holds stranded
-// packets and must be discarded.
+// Router runs batch routings: it owns a packet fabric (pooled packets,
+// per-edge FIFOs, active-link tracking; see fabric.go) and the
+// MeasureGL trial scratch, so repeated Route calls on the same Network
+// reuse memory and reach zero steady-state allocations. A Router is
+// not safe for concurrent use; build one per goroutine (they share
+// the Network's immutable tables). After a MaxSteps panic the Router
+// holds stranded packets and must be discarded.
 type Router struct {
-	net    *Network
-	queues []ring[packet]
-	// Multi-port: bitset of edges with non-empty queues.
-	activeEdge bitset
-	// Single-port: per-node count of non-empty outgoing queues plus
-	// the bitset of nodes with at least one.
-	nodeCnt    []int32
-	activeNode bitset
-	arrivals   []arrival
-	// multiPort caches net.G.MultiPort so push/pop skip two pointer
-	// hops per packet.
-	multiPort bool
+	f fabric
 	// rng drives the Valiant intermediate choices; reseeded per run
 	// so repeated Route calls allocate nothing.
 	rng stats.RNG
+	// trialRNG and perms are a MeasureGL trial's relation draw: the
+	// trial's generator and its h permutations, back to back.
+	trialRNG stats.RNG
+	perms    []int32
+	// pending counts the injected packets not yet home.
+	pending int
 }
 
 // NewRouter returns an empty Router over net.
 func (net *Network) NewRouter() *Router {
-	r := &Router{net: net, queues: make([]ring[packet], net.nEdges), multiPort: net.G.MultiPort}
-	if net.G.MultiPort {
-		r.activeEdge = newBitset(net.nEdges)
-	} else {
-		n := net.G.Nodes()
-		r.nodeCnt = make([]int32, n)
-		r.activeNode = newBitset(n)
-	}
-	return r
+	return &Router{f: newFabric(net)}
 }
 
 // Route delivers every message of rel and returns the measured cost.
@@ -258,161 +249,91 @@ func (net *Network) Route(rel relation.Relation, opts RouteOptions) RouteResult 
 	return net.NewRouter().Route(rel, opts)
 }
 
-// push enqueues pk on directed edge e, maintaining the active-link
-// tracking and the peak-depth statistic.
-func (r *Router) push(e int32, pk packet, maxQueue *int) {
-	q := &r.queues[e]
-	if q.n == 0 {
-		if r.multiPort {
-			r.activeEdge.set(int(e))
-		} else {
-			u := r.net.edgeFrom[e]
-			if r.nodeCnt[u] == 0 {
-				r.activeNode.set(int(u))
-			}
-			r.nodeCnt[u]++
-		}
-	}
-	q.push(pk)
-	if q.n > *maxQueue {
-		*maxQueue = q.n
-	}
-}
-
-// pop dequeues the head of edge e, clearing the active-link tracking
-// when the queue drains.
-func (r *Router) pop(e int32) packet {
-	q := &r.queues[e]
-	pk := q.pop()
-	if q.n == 0 {
-		if r.multiPort {
-			r.activeEdge.clear(int(e))
-		} else {
-			u := r.net.edgeFrom[e]
-			r.nodeCnt[u]--
-			if r.nodeCnt[u] == 0 {
-				r.activeNode.clear(int(u))
-			}
-		}
-	}
-	return pk
-}
-
 // Route delivers every message of rel and returns the measured cost.
+func (r *Router) Route(rel relation.Relation, opts RouteOptions) RouteResult {
+	if rel.P != r.f.net.G.P() {
+		panic(fmt.Sprintf("netsim: relation has %d processors, network %d", rel.P, r.f.net.G.P()))
+	}
+	r.start(opts)
+	for _, pr := range rel.Pairs {
+		r.inject(pr.Src, pr.Dst, opts.Valiant)
+	}
+	return r.run(opts.MaxSteps)
+}
+
+// start empties the fabric and seeds the Valiant choices of a run.
+func (r *Router) start(opts RouteOptions) {
+	r.f.restart()
+	r.rng.Reseed(opts.Seed)
+	r.pending = 0
+}
+
+// inject adds one message from processor src to processor dst, drawing
+// its Valiant intermediate when asked, in the order Route draws them.
+func (r *Router) inject(src, dst int, valiant bool) {
+	procs := r.f.net.G.Processors
+	via := int32(-1)
+	if valiant {
+		via = int32(procs[r.rng.Intn(len(procs))])
+	}
+	if r.f.forward(int32(procs[src]), r.f.newPacket(int32(procs[dst]), via)) {
+		r.pending++
+	}
+}
+
+// run steps the fabric until every injected packet is home.
 //
 //hot:path the packet network's per-step routing loop
-func (r *Router) Route(rel relation.Relation, opts RouteOptions) RouteResult {
-	net := r.net
-	if rel.P != net.G.P() {
-		panic(fmt.Sprintf("netsim: relation has %d processors, network %d", rel.P, net.G.P()))
-	}
-	n := net.G.Nodes()
-	rng := &r.rng
-	rng.Reseed(opts.Seed)
-	maxSteps := opts.MaxSteps
+func (r *Router) run(maxSteps int) RouteResult {
+	f := &r.f
+	packets := len(f.pk)
 	if maxSteps == 0 {
-		maxSteps = 10000 + 200*n + 40*len(rel.Pairs)
+		maxSteps = 10000 + 200*r.f.net.G.Nodes() + 40*packets
 	}
-
-	res := RouteResult{Packets: len(rel.Pairs)}
-	remaining := 0
-
-	enqueue := func(u int, pk packet) bool {
-		// Returns false when the packet is already home.
-		target := pk.via
-		if target < 0 {
-			target = pk.dst
-		}
-		if int32(u) == pk.dst && pk.via < 0 {
-			return false
-		}
-		if int32(u) == target && pk.via >= 0 {
-			// Reached the intermediate; head for the real
-			// destination.
-			pk.via = -1
-			if int32(u) == pk.dst {
-				return false
-			}
-			target = pk.dst
-		}
-		r.push(net.nextEdge[int(target)*n+u], pk, &res.MaxQueue)
-		return true
-	}
-
-	for _, pr := range rel.Pairs {
-		srcNode := net.G.Processors[pr.Src]
-		dstNode := net.G.Processors[pr.Dst]
-		pk := packet{dst: int32(dstNode), via: -1}
-		if opts.Valiant {
-			pk.via = int32(net.G.Processors[rng.Intn(rel.P)])
-		}
-		if enqueue(srcNode, pk) {
-			remaining++
-		}
-	}
-
+	res := RouteResult{Packets: packets}
+	remaining := r.pending
 	for step := 1; remaining > 0; step++ {
 		if step > maxSteps {
-			panic(fmt.Sprintf("netsim: %s routing exceeded %d steps with %d packets left (bug or pathological congestion)", net.G.Name, maxSteps, remaining))
+			panic(fmt.Sprintf("netsim: %s routing exceeded %d steps with %d packets left (bug or pathological congestion)", r.f.net.G.Name, maxSteps, remaining))
 		}
-		r.arrivals = r.arrivals[:0]
-		if net.G.MultiPort {
-			// Walk the active-edge bitset in index order (matching a
-			// full scan); pops may clear bits at the current position
-			// but pushes are buffered in arrivals, so no new bits
-			// appear mid-walk.
-			for w := 0; w < len(r.activeEdge); w++ {
-				word := r.activeEdge[w]
-				for word != 0 {
-					b := bits.TrailingZeros64(word)
-					word &^= 1 << uint(b)
-					e := int32(w<<6 + b)
-					pk := r.pop(e)
-					pk.hops++
-					//lint:ignore hotloop arrival staging reuses r.arrivals via [:0]; growth is bounded by the per-step delivery high-water
-					r.arrivals = append(r.arrivals, arrival{node: net.edgeTo[e], pk: pk})
-				}
-			}
-		} else {
-			// Single-port: each active node transmits on one link,
-			// rotating the starting link each step for fairness.
-			for w := 0; w < len(r.activeNode); w++ {
-				word := r.activeNode[w]
-				for word != 0 {
-					b := bits.TrailingZeros64(word)
-					word &^= 1 << uint(b)
-					u := w<<6 + b
-					lo := int(net.edgeStart[u])
-					deg := int(net.edgeStart[u+1]) - lo
-					start := (step + u) % deg
-					for k := 0; k < deg; k++ {
-						j := start + k
-						if j >= deg {
-							j -= deg
-						}
-						e := int32(lo + j)
-						if r.queues[e].n == 0 {
-							continue
-						}
-						pk := r.pop(e)
-						pk.hops++
-						//lint:ignore hotloop arrival staging reuses r.arrivals via [:0]; growth is bounded by the per-step delivery high-water
-						r.arrivals = append(r.arrivals, arrival{node: net.edgeTo[e], pk: pk})
-						break
-					}
-				}
-			}
-		}
-		res.TotalHops += int64(len(r.arrivals))
-		for _, a := range r.arrivals {
-			if !enqueue(int(a.node), a.pk) {
+		moves := f.advance()
+		res.TotalHops += int64(len(moves))
+		for _, mv := range moves {
+			if !f.forward(mv.node, mv.slot) {
 				remaining--
 				res.Steps = step
 			}
 		}
 	}
+	res.MaxQueue = f.maxQueue
 	simHops.Add(res.TotalHops)
 	return res
+}
+
+// trial routes one MeasureGL (h, trial) run and returns its steps. It
+// draws relation.RandomRegular(rng, p, h)'s h permutations straight
+// into the Router's buffer, then the route seed, from the same
+// generator stream as materializing the relation would, and routes
+// the pairs in the relation's order.
+func (r *Router) trial(seed uint64, h int, valiant bool) int {
+	p := r.f.net.G.P()
+	rng := &r.trialRNG
+	rng.Reseed(seed)
+	if cap(r.perms) < p*h {
+		r.perms = make([]int32, p*h)
+	}
+	perms := r.perms[:p*h]
+	for k := 0; k < h; k++ {
+		rng.Perm32Into(perms[k*p:(k+1)*p], p)
+	}
+	opts := RouteOptions{Valiant: valiant, Seed: rng.Uint64()}
+	r.start(opts)
+	for k := 0; k < h; k++ {
+		for i, d := range perms[k*p : (k+1)*p] {
+			r.inject(i, int(d), valiant)
+		}
+	}
+	return r.run(0).Steps
 }
 
 // Measurement is the empirically fitted cost model of a topology:
@@ -474,10 +395,7 @@ func (net *Network) measureGL(hs []int, trials int, seed uint64, valiant bool, w
 	steps := make([]float64, len(hs)*trials)
 	runJob := func(rt *Router, j int) {
 		h := hs[j/trials]
-		rng := stats.NewRNG(trialSeed(seed, h, j%trials))
-		rel := relation.RandomRegular(rng, g.P(), h)
-		r := rt.Route(rel, RouteOptions{Valiant: valiant, Seed: rng.Uint64()})
-		steps[j] = float64(r.Steps)
+		steps[j] = float64(rt.trial(trialSeed(seed, h, j%trials), h, valiant))
 	}
 	if workers > len(steps) {
 		workers = len(steps)

@@ -1,28 +1,20 @@
 package netsim
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Stepper is the incremental interface to the packet network: inject
 // packets at the current step, advance one step at a time, and collect
-// arrivals. Route is a convenience loop over a Stepper; the LogP-on-
-// network co-simulation in internal/netlogp drives a Stepper in
-// lockstep with its processor clocks.
+// arrivals. The LogP-on-network co-simulation in internal/netlogp
+// drives a Stepper in lockstep with its processor clocks.
 //
-// Like Router, a Stepper owns reusable ring buffers and active-link
-// tracking, so steady-state stepping allocates nothing. It is not safe
-// for concurrent use.
+// A Stepper runs on the same packet fabric as Router (see fabric.go):
+// delivered packets return their pool slots to a free list, and a side
+// column keeps each slot's caller id, so steady-state stepping
+// allocates nothing. It is not safe for concurrent use.
 type Stepper struct {
-	net    *Network
-	queues []ring[spacket]
-	// Multi-port: bitset of edges with non-empty queues.
-	activeEdge bitset
-	// Single-port: per-node count of non-empty outgoing queues plus
-	// the bitset of nodes with at least one.
-	nodeCnt    []int32
-	activeNode bitset
+	f fabric
+	// ids[slot] is the caller's id of the packet in pool slot slot.
+	ids []int64
 
 	step    int64
 	pending int
@@ -31,18 +23,7 @@ type Stepper struct {
 	// TotalHops counts link traversals.
 	TotalHops int64
 
-	moves    []smove
 	arrivals []Arrival
-}
-
-type spacket struct {
-	id  int64
-	dst int32 // destination node
-}
-
-type smove struct {
-	pk   spacket
-	node int32
 }
 
 // Arrival reports a packet reaching its destination processor.
@@ -55,15 +36,7 @@ type Arrival struct {
 // NewStepper returns a stepper positioned at step 0 with an empty
 // network.
 func (net *Network) NewStepper() *Stepper {
-	s := &Stepper{net: net, queues: make([]ring[spacket], net.nEdges)}
-	if net.G.MultiPort {
-		s.activeEdge = newBitset(net.nEdges)
-	} else {
-		n := net.G.Nodes()
-		s.nodeCnt = make([]int32, n)
-		s.activeNode = newBitset(n)
-	}
-	return s
+	return &Stepper{f: newFabric(net)}
 }
 
 // Step returns the current step counter.
@@ -76,7 +49,7 @@ func (s *Stepper) Pending() int { return s.pending }
 // step. Packets to self are rejected (they never enter the network),
 // as are processor ids outside [0, P).
 func (s *Stepper) Inject(id int64, srcProc, dstProc int) {
-	p := s.net.G.P()
+	p := s.f.net.G.P()
 	if srcProc < 0 || srcProc >= p {
 		panic(fmt.Sprintf("netsim: Stepper.Inject source processor %d out of range [0, %d)", srcProc, p))
 	}
@@ -86,51 +59,15 @@ func (s *Stepper) Inject(id int64, srcProc, dstProc int) {
 	if srcProc == dstProc {
 		panic("netsim: Stepper.Inject to self")
 	}
-	src := s.net.G.Processors[srcProc]
-	dst := s.net.G.Processors[dstProc]
-	s.enqueue(src, spacket{id: id, dst: int32(dst)})
+	slot := s.f.newPacket(int32(s.f.net.G.Processors[dstProc]), -1)
+	if int(slot) == len(s.ids) {
+		s.ids = append(s.ids, id)
+	} else {
+		s.ids[slot] = id
+	}
+	s.f.forward(int32(s.f.net.G.Processors[srcProc]), slot)
 	s.pending++
-}
-
-// enqueue pushes pk onto the outgoing edge of u toward its
-// destination, maintaining the active-link tracking.
-func (s *Stepper) enqueue(u int, pk spacket) {
-	e := s.net.nextEdge[int(pk.dst)*s.net.G.Nodes()+u]
-	q := &s.queues[e]
-	if q.n == 0 {
-		if s.net.G.MultiPort {
-			s.activeEdge.set(int(e))
-		} else {
-			from := s.net.edgeFrom[e]
-			if s.nodeCnt[from] == 0 {
-				s.activeNode.set(int(from))
-			}
-			s.nodeCnt[from]++
-		}
-	}
-	q.push(pk)
-	if q.n > s.MaxQueue {
-		s.MaxQueue = q.n
-	}
-}
-
-// pop dequeues the head of edge e, clearing the active tracking when
-// the queue drains.
-func (s *Stepper) pop(e int32) spacket {
-	q := &s.queues[e]
-	pk := q.pop()
-	if q.n == 0 {
-		if s.net.G.MultiPort {
-			s.activeEdge.clear(int(e))
-		} else {
-			from := s.net.edgeFrom[e]
-			s.nodeCnt[from]--
-			if s.nodeCnt[from] == 0 {
-				s.activeNode.clear(int(from))
-			}
-		}
-	}
-	return pk
+	s.MaxQueue = max(s.MaxQueue, s.f.maxQueue)
 }
 
 // Advance moves the network forward one step and returns the packets
@@ -139,56 +76,22 @@ func (s *Stepper) pop(e int32) spacket {
 // before advancing again.
 func (s *Stepper) Advance() []Arrival {
 	s.step++
-	s.moves = s.moves[:0]
 	s.arrivals = s.arrivals[:0]
-	if s.net.G.MultiPort {
-		for w := 0; w < len(s.activeEdge); w++ {
-			word := s.activeEdge[w]
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &^= 1 << uint(b)
-				e := int32(w<<6 + b)
-				s.moves = append(s.moves, smove{pk: s.pop(e), node: s.net.edgeTo[e]})
-			}
-		}
-	} else {
-		for w := 0; w < len(s.activeNode); w++ {
-			word := s.activeNode[w]
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &^= 1 << uint(b)
-				u := w<<6 + b
-				lo := int(s.net.edgeStart[u])
-				deg := int(s.net.edgeStart[u+1]) - lo
-				start := (int(s.step) + u) % deg
-				for k := 0; k < deg; k++ {
-					j := start + k
-					if j >= deg {
-						j -= deg
-					}
-					e := int32(lo + j)
-					if s.queues[e].n == 0 {
-						continue
-					}
-					s.moves = append(s.moves, smove{pk: s.pop(e), node: s.net.edgeTo[e]})
-					break
-				}
-			}
-		}
-	}
-	for _, mv := range s.moves {
-		s.TotalHops++
-		if mv.node == mv.pk.dst {
-			s.arrivals = append(s.arrivals, Arrival{
-				ID:   mv.pk.id,
-				Dst:  int(s.net.procOf[mv.pk.dst]),
-				Step: s.step,
-			})
-			s.pending--
+	moves := s.f.advance()
+	for _, mv := range moves {
+		if s.f.forward(mv.node, mv.slot) {
 			continue
 		}
-		s.enqueue(int(mv.node), mv.pk)
+		s.arrivals = append(s.arrivals, Arrival{
+			ID:   s.ids[mv.slot],
+			Dst:  int(s.f.net.procOf[mv.node]),
+			Step: s.step,
+		})
+		s.f.release(mv.slot)
+		s.pending--
 	}
-	simHops.Add(int64(len(s.moves)))
+	s.TotalHops += int64(len(moves))
+	s.MaxQueue = max(s.MaxQueue, s.f.maxQueue)
+	simHops.Add(int64(len(moves)))
 	return s.arrivals
 }
